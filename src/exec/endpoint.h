@@ -64,6 +64,19 @@ struct SummaryReply {
   ProviderSummary summary;
 };
 
+/// Steps 1-2 fused: one exchange opens the session, identifies C^Q, and
+/// publishes the DP summary. The allocation epsilon is fixed at admission,
+/// so nothing the coordinator learns from the cover is needed to ask for
+/// the summary — the two calls collapse into one round trip.
+struct OpenRequest {
+  CoverRequest cover;
+  double eps_allocation = 0.0;
+};
+struct OpenReply {
+  CoverReply cover;
+  SummaryReply summary;
+};
+
 /// Steps 5-6: sample, scan, estimate, (optionally) noise.
 struct ApproximateRequest {
   uint64_t query_id = 0;
@@ -92,7 +105,7 @@ struct EstimateReply {
 /// idempotent — a coordinator may blindly retry it after a transport
 /// error without skewing any later query's noise stream (pinned by
 /// tests/rpc_loopback_test.cc). Every sessionful request, by contrast,
-/// must NOT be auto-retried: replaying Cover re-keys the session stream.
+/// must NOT be auto-retried: replaying Open re-keys the session stream.
 struct ExactScanRequest {
   RangeQuery query;
 };
@@ -106,15 +119,23 @@ struct ExactScanReply {
 /// RPC backend (rpc/remote_endpoint.h) implements the same interface over
 /// a wire.
 ///
+/// Session lifecycle: Open (or its unfused form, Cover then
+/// PublishSummary) creates the `query_id` session; the Approximate or
+/// ExactAnswer call that follows ends it — the endpoint drops the session
+/// as soon as it has computed that reply, success or not, so a query
+/// costs exactly two exchanges per provider. EndQuery exists only for a
+/// session that will never receive its estimate: the query failed at
+/// another provider or at the aggregator, or was cancelled after its
+/// summary.
+///
 /// Threading contract: implementations must be safe to call from any
-/// thread, and the caller must order each *session's* calls (Cover before
-/// PublishSummary before Approximate/ExactAnswer before EndQuery — the
-/// task-graph scheduler encodes this as dependency edges). Calls
-/// belonging to different sessions may interleave arbitrarily: every
-/// session's randomness is keyed purely by (provider seed, session
-/// nonce), never by arrival order, so answers are bit-identical for every
-/// schedule — the property the barrier-free scheduler rests on and that
-/// tests/task_graph_test.cc pins.
+/// thread, and the caller must order each *session's* calls (Open before
+/// Approximate/ExactAnswer — the task-graph scheduler encodes this as a
+/// dependency edge). Calls belonging to different sessions may
+/// interleave arbitrarily: every session's randomness is keyed purely by
+/// (provider seed, session nonce), never by arrival order, so answers are
+/// bit-identical for every schedule — the property the barrier-free
+/// scheduler rests on and that tests/task_graph_test.cc pins.
 class ProviderEndpoint {
  public:
   virtual ~ProviderEndpoint() = default;
@@ -127,16 +148,23 @@ class ProviderEndpoint {
   /// Protocol step 2. Requires an open session.
   virtual Result<SummaryReply> PublishSummary(const SummaryRequest& request) = 0;
 
-  /// Protocol steps 5-6. Requires an open session.
+  /// Protocol steps 1-2 in one call: what the orchestrator issues. The
+  /// default runs Cover then PublishSummary, and ends the session again
+  /// if the summary fails, so a failed Open never leaves a session
+  /// behind. Transport endpoints override it to make one round trip.
+  virtual Result<OpenReply> Open(const OpenRequest& request);
+
+  /// Protocol steps 5-6. Requires an open session; ends it.
   virtual Result<EstimateReply> Approximate(const ApproximateRequest& request) = 0;
 
-  /// Step 4 bypass. Requires an open session.
+  /// Step 4 bypass. Requires an open session; ends it.
   virtual Result<EstimateReply> ExactAnswer(const ExactAnswerRequest& request) = 0;
 
   /// Non-private baseline; does not touch session state.
   virtual Result<ExactScanReply> ExactFullScan(const ExactScanRequest& request) = 0;
 
-  /// Releases the session opened by Cover. Idempotent.
+  /// Releases an opened session that will get no estimate call (cancel
+  /// and failure paths only). Idempotent.
   virtual void EndQuery(uint64_t query_id) = 0;
 
   /// Issue half of the scheduler's async issue/complete pair: runs `call`

@@ -1,5 +1,6 @@
 #include "exec/in_process_endpoint.h"
 
+#include <string>
 #include <utility>
 
 namespace fedaqp {
@@ -56,7 +57,7 @@ Result<SummaryReply> InProcessEndpoint::PublishSummary(
   auto it = sessions_.find(request.query_id);
   if (it == sessions_.end()) {
     return Status::FailedPrecondition(
-        "endpoint: PublishSummary without a Cover session");
+        "endpoint: PublishSummary without an open session");
   }
   SummaryReply reply;
   FEDAQP_ASSIGN_OR_RETURN(
@@ -66,38 +67,44 @@ Result<SummaryReply> InProcessEndpoint::PublishSummary(
   return reply;
 }
 
+Result<InProcessEndpoint::Session> InProcessEndpoint::TakeSessionLocked(
+    uint64_t query_id, const char* call) {
+  auto it = sessions_.find(query_id);
+  if (it == sessions_.end()) {
+    return Status::FailedPrecondition(std::string("endpoint: ") + call +
+                                      " without an open session");
+  }
+  Session session = std::move(it->second);
+  sessions_.erase(it);
+  return session;
+}
+
 Result<EstimateReply> InProcessEndpoint::Approximate(
     const ApproximateRequest& request) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = sessions_.find(request.query_id);
-  if (it == sessions_.end()) {
-    return Status::FailedPrecondition(
-        "endpoint: Approximate without a Cover session");
-  }
+  FEDAQP_ASSIGN_OR_RETURN(Session session,
+                          TakeSessionLocked(request.query_id, "Approximate"));
   EstimateReply reply;
   FEDAQP_ASSIGN_OR_RETURN(
       reply.estimate,
-      provider_->Approximate(it->second.query, it->second.cover,
-                             request.sample_size, request.eps_sampling,
-                             request.eps_estimate, request.delta,
-                             request.add_noise, &it->second.rng, &scan_exec_));
+      provider_->Approximate(session.query, session.cover, request.sample_size,
+                             request.eps_sampling, request.eps_estimate,
+                             request.delta, request.add_noise, &session.rng,
+                             &scan_exec_));
   return reply;
 }
 
 Result<EstimateReply> InProcessEndpoint::ExactAnswer(
     const ExactAnswerRequest& request) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = sessions_.find(request.query_id);
-  if (it == sessions_.end()) {
-    return Status::FailedPrecondition(
-        "endpoint: ExactAnswer without a Cover session");
-  }
+  FEDAQP_ASSIGN_OR_RETURN(Session session,
+                          TakeSessionLocked(request.query_id, "ExactAnswer"));
   EstimateReply reply;
   FEDAQP_ASSIGN_OR_RETURN(
       reply.estimate,
-      provider_->ExactAnswer(it->second.query, it->second.cover,
+      provider_->ExactAnswer(session.query, session.cover,
                              request.eps_estimate, request.add_noise,
-                             &it->second.rng, &scan_exec_));
+                             &session.rng, &scan_exec_));
   return reply;
 }
 

@@ -39,8 +39,9 @@ class InProcessEndpoint : public ProviderEndpoint {
   DataProvider* provider() { return provider_; }
   const ShardedScanExecutor& scan_executor() const { return scan_exec_; }
 
-  /// Sessions currently open (Cover'd but not EndQuery'd). Diagnostic for
-  /// the RPC server's session-lifecycle accounting and its tests.
+  /// Sessions currently open: opened, and neither estimated nor
+  /// EndQuery'd. Diagnostic for the RPC server's session-lifecycle
+  /// accounting and its tests.
   size_t num_open_sessions() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return sessions_.size();
@@ -57,6 +58,11 @@ class InProcessEndpoint : public ProviderEndpoint {
     CoverInfo cover;
     Rng rng;
   };
+
+  /// Removes and returns `query_id`'s session: the estimate call that
+  /// takes it ends it, whether or not the estimate then succeeds.
+  /// FailedPrecondition names `call` when no such session is open.
+  Result<Session> TakeSessionLocked(uint64_t query_id, const char* call);
 
   DataProvider* provider_;
   EndpointInfo info_;

@@ -34,7 +34,7 @@ thread_local size_t tls_worker_slot = 0;
 /// insertion-order field). One definition, so heap order and parked-node
 /// promotion can never drift apart.
 /// Per-phase latency histograms, resolved once (enum values are dense,
-/// 0..7, so an index lookup keeps the hot path lock-free).
+/// 0..6, so an index lookup keeps the hot path lock-free).
 obs::Histogram& PhaseHistogram(TaskPhase phase) {
   static obs::Histogram* hists[] = {
       obs::MetricRegistry::Global().GetHistogram("task.seconds.summary"),
@@ -42,7 +42,6 @@ obs::Histogram& PhaseHistogram(TaskPhase phase) {
       obs::MetricRegistry::Global().GetHistogram("task.seconds.estimate"),
       obs::MetricRegistry::Global().GetHistogram("task.seconds.combine"),
       obs::MetricRegistry::Global().GetHistogram("task.seconds.deliver"),
-      obs::MetricRegistry::Global().GetHistogram("task.seconds.release"),
       obs::MetricRegistry::Global().GetHistogram("task.seconds.scan"),
       obs::MetricRegistry::Global().GetHistogram("task.seconds.generic"),
   };
@@ -79,8 +78,6 @@ const char* TaskPhaseName(TaskPhase phase) {
       return "combine";
     case TaskPhase::kDeliver:
       return "deliver";
-    case TaskPhase::kRelease:
-      return "release";
     case TaskPhase::kScan:
       return "scan";
     case TaskPhase::kGeneric:

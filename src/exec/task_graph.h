@@ -26,14 +26,14 @@ class ThreadPool;
 /// Which protocol step a task node performs. Part of the node key and of
 /// the deterministic first-error order (lower phases report first).
 enum class TaskPhase : uint8_t {
-  kSummary = 0,   // provider-side cover + DP summary (steps 1-2)
+  kSummary = 0,   // provider-side Open: cover + DP summary (steps 1-2)
   kAllocate = 1,  // aggregator-side allocation (step 3)
-  kEstimate = 2,  // provider-side sample/scan/estimate or exact bypass (4-6)
+  kEstimate = 2,  // provider-side sample/scan/estimate or exact bypass
+                  // (4-6); ends the provider's session
   kCombine = 3,   // aggregator-side combination + release (step 7)
   kDeliver = 4,   // per-query outcome callback to the session layer
-  kRelease = 5,   // EndQuery session cleanup, pipelined per endpoint
-  kScan = 6,      // intra-provider shard work fanned under a phase node
-  kGeneric = 7,   // anything outside the protocol (tests, tools)
+  kScan = 5,      // intra-provider shard work fanned under a phase node
+  kGeneric = 6,   // anything outside the protocol (tests, tools)
 };
 
 const char* TaskPhaseName(TaskPhase phase);

@@ -70,10 +70,11 @@ struct BatchContext {
   size_t num_endpoints() const { return endpoints->size(); }
 };
 
-/// Steps 1-2 for one (query, endpoint): cover identification + DP summary.
-/// Any exception an endpoint lets escape — e.g. a sharded scan rethrowing
-/// a shard failure — is converted to a per-endpoint Status here, because
-/// the body often runs on pool workers whose tasks must not throw.
+/// Steps 1-2 for one (query, endpoint): one Open call — cover
+/// identification + DP summary. Any exception an endpoint lets escape —
+/// e.g. a sharded scan rethrowing a shard failure — is converted to a
+/// per-endpoint Status here, because the body often runs on pool workers
+/// whose tasks must not throw.
 /// Claims the kSummaryPublished composition stage first: once any
 /// endpoint passes this point, eps_O is irrevocably spent, and a
 /// cancellation that lands earlier makes the call never happen.
@@ -85,24 +86,17 @@ void RunPhase1(const BatchContext& ctx, QueryState& st, size_t e) {
         Status::Cancelled("query cancelled before its DP summary");
     return;
   }
-  ProviderEndpoint* endpoint = (*ctx.endpoints)[e].get();
   try {
-    Result<CoverReply> cover =
-        endpoint->Cover(CoverRequest{st.id, st.nonce, st.spec->query});
-    if (!cover.ok()) {
-      st.phase1_status[e] = cover.status();
-      return;
-    }
-    SummaryRequest req;
-    req.query_id = st.id;
+    OpenRequest req;
+    req.cover = CoverRequest{st.id, st.nonce, st.spec->query};
     req.eps_allocation = st.eps_o;
-    Result<SummaryReply> summary = endpoint->PublishSummary(req);
-    if (!summary.ok()) {
-      st.phase1_status[e] = summary.status();
+    Result<OpenReply> opened = (*ctx.endpoints)[e]->Open(req);
+    if (!opened.ok()) {
+      st.phase1_status[e] = opened.status();
       return;
     }
-    st.covers[e] = std::move(cover).value();
-    st.summaries[e] = std::move(summary).value().summary;
+    st.covers[e] = opened->cover;
+    st.summaries[e] = opened->summary.summary;
     st.summaries[e].work += st.covers[e].work;
   } catch (const std::exception& ex) {
     st.phase1_status[e] =
@@ -110,6 +104,14 @@ void RunPhase1(const BatchContext& ctx, QueryState& st, size_t e) {
   } catch (...) {
     st.phase1_status[e] = Status::Internal("summary phase threw");
   }
+}
+
+/// True when endpoint `e` holds an open session for this query: its Open
+/// ran and succeeded (a failed Open leaves none). Only private queries
+/// that reached phase 1 have phase-1 slots; every such slot starts OK and
+/// is final before any phase-2 body runs.
+bool HasOpenSession(const QueryState& st, size_t e) {
+  return e < st.phase1_status.size() && st.phase1_status[e].ok();
 }
 
 /// Step 3 for one query: phase-1 gather, allocation at the aggregator,
@@ -132,12 +134,9 @@ void RunAllocation(const BatchContext& ctx, QueryState& st) {
   }
   if (!st.active) return;
   st.response.breakdown.provider_compute_seconds = phase1_max;
-  // Phase-1 reply gather, then the summary request/reply round-trip.
-  // Sizes are value-independent, so default-constructed instances
-  // measure them.
-  st.network->UniformRound(num_endpoints, WireSize(CoverReply{}));
-  st.network->UniformRound(num_endpoints, WireSize(SummaryRequest{}));
-  st.network->UniformRound(num_endpoints, WireSize(SummaryReply{}));
+  // Open-reply gather. Its size is value-independent, so a
+  // default-constructed instance measures it.
+  st.network->UniformRound(num_endpoints, WireSize(OpenReply{}));
 
   Stopwatch agg_timer;
   Result<AllocationPlan> plan =
@@ -163,17 +162,25 @@ void RunAllocation(const BatchContext& ctx, QueryState& st) {
 
 /// Steps 4-6 for one (query, endpoint): sample/scan/estimate or the exact
 /// bypass — or, for exact-flavored specs, the sessionless full scan.
-/// Requires this query's allocation to be final (approximate only).
+/// Requires this query's allocation to be final (approximate only). The
+/// estimate call ends the endpoint's session; when no estimate will be
+/// asked for — the query failed at another endpoint or the aggregator, or
+/// was cancelled after its summary — this body ends the session with an
+/// explicit EndQuery instead.
 /// Claims the kEstimateReleased composition stage first: past this point
 /// the whole per-query budget is spent and cancellation can refund
 /// nothing.
 void RunPhase2(const BatchContext& ctx, QueryState& st, size_t e) {
-  if (!st.active) return;
   ProviderEndpoint* endpoint = (*ctx.endpoints)[e].get();
+  if (!st.active) {
+    if (HasOpenSession(st, e)) endpoint->EndQuery(st.id);
+    return;
+  }
   QueryCancelToken* cancel = st.spec->cancel.get();
   if (cancel != nullptr && !cancel->Claim(QueryStage::kEstimateReleased)) {
     st.phase2_status[e] =
         Status::Cancelled("query cancelled before its estimate");
+    if (HasOpenSession(st, e)) endpoint->EndQuery(st.id);
     return;
   }
   if (st.exact) {
@@ -228,17 +235,6 @@ void RunPhase2(const BatchContext& ctx, QueryState& st, size_t e) {
   }
 }
 
-/// True when a cancellation provably left no session anywhere: the
-/// token froze at kNotStarted, so no endpoint's phase-1 claim ever
-/// succeeded and Cover never ran. The session-release round is then a
-/// guaranteed no-op and both schedulers skip it (a later-stage
-/// cancellation may have opened sessions, so EndQuery still runs).
-bool NoSessionWasOpened(const QueryState& st) {
-  const QueryCancelToken* cancel = st.spec->cancel.get();
-  return cancel != nullptr && cancel->cancelled() &&
-         cancel->stage() == QueryStage::kNotStarted;
-}
-
 /// Exact-spec step 7: scan gather, plain-text sum, response finalization.
 /// Mirrors the accounting of the historical ExecuteExact loop: provider
 /// seconds are the max across endpoints, and the only wire traffic is the
@@ -270,12 +266,12 @@ void RunExactCombine(const BatchContext& ctx, QueryState& st) {
   st.response.breakdown.network_messages = st.network->stats().messages;
 }
 
-/// Step 7 for one query: estimate gather, combination, session-release
-/// accounting, response finalization. Coordinator-side; requires every
-/// phase-2 slot of this query to be final. CombineSmc draws from the
-/// aggregator's one RNG stream, so in SMC mode combines must run in
-/// submission order across queries — the task graph chains them
-/// explicitly (local-DP combines are pure sums and stay unchained).
+/// Step 7 for one query: estimate gather, combination, response
+/// finalization. Coordinator-side; requires every phase-2 slot of this
+/// query to be final. CombineSmc draws from the aggregator's one RNG
+/// stream, so in SMC mode combines must run in submission order across
+/// queries — the task graph chains them explicitly (local-DP combines
+/// are pure sums and stay unchained).
 void RunCombine(const BatchContext& ctx, QueryState& st) {
   if (!st.active) return;
   if (st.exact) {
@@ -321,12 +317,6 @@ void RunCombine(const BatchContext& ctx, QueryState& st) {
   }
   st.response.breakdown.aggregator_compute_seconds += agg_timer.ElapsedSeconds();
 
-  // Session release: EndQuery request + empty ack per endpoint. The
-  // calls are issued in the cleanup loop after the batch; charged here so
-  // each query's breakdown owns its full wire footprint.
-  st.network->UniformRound(num_endpoints, WireSize(EndQueryRequest{st.id}));
-  st.network->UniformRound(num_endpoints, kEndQueryAckWireSize);
-
   st.response.breakdown.network_seconds = st.network->stats().seconds;
   st.response.breakdown.network_bytes = st.network->stats().bytes;
   st.response.breakdown.network_messages = st.network->stats().messages;
@@ -364,23 +354,16 @@ void RunBatchBarrier(const BatchContext& ctx, ThreadPool* pool,
     if (st.reserved) continue;
     if (st.spec->on_done) st.spec->on_done(st.status, st.response);
   }
-  // Sequential session-release reference loop (the graph scheduler
-  // pipelines these as per-endpoint kRelease nodes).
-  for (QueryState& st : states) {
-    if (st.id == 0 || st.exact || st.reserved || NoSessionWasOpened(st)) {
-      continue;
-    }
-    for (const auto& endpoint : *ctx.endpoints) endpoint->EndQuery(st.id);
-  }
 }
 
 /// Barrier-free scheduler: one dependency graph over every (query,
 /// provider, phase) node of the batch, drained by the shared pool. Within
 /// an approximate query: phase1(e) -> allocate -> phase2(e) -> combine ->
-/// {deliver, endquery(e)}; an exact query is just scan(e) -> combine ->
-/// deliver. Across queries, only SMC-mode combines are chained (the
-/// aggregator's single RNG stream); everything else overlaps freely, in
-/// ready-queue urgency order (per-spec priority, then deadline). Shard
+/// deliver, where phase2(e) also ends endpoint e's session; an exact
+/// query is just scan(e) -> combine -> deliver. Across queries, only
+/// SMC-mode combines are chained (the aggregator's single RNG stream);
+/// everything else overlaps freely, in ready-queue urgency order
+/// (per-spec priority, then deadline). Shard
 /// fan-outs inside endpoint calls become child work of their phase node
 /// (see ShardedScanExecutor::ForEachShard).
 void RunBatchTaskGraph(const BatchContext& ctx, ThreadPool* pool,
@@ -405,16 +388,14 @@ void RunBatchTaskGraph(const BatchContext& ctx, ThreadPool* pool,
     opts.priority = spec.priority;
     opts.deadline = spec.deadline;
     // The cancel token rides ONLY the endpoint-bound phase nodes, whose
-    // bodies self-skip via their stage claim — the graph's dispatch
-    // bypass (TaskOptions::claim_stage) assumes exactly that.
-    // Coordinator and release nodes keep running normally (release may
-    // have a real session to close).
-    TaskOptions summary_opts = opts;
-    summary_opts.cancel = spec.cancel;
-    summary_opts.claim_stage = QueryStage::kSummaryPublished;
-    TaskOptions estimate_opts = opts;
-    estimate_opts.cancel = spec.cancel;
-    estimate_opts.claim_stage = QueryStage::kEstimateReleased;
+    // bodies are no-ops when the graph's dispatch bypass
+    // (TaskOptions::claim_stage) fires; coordinator nodes keep running
+    // normally. Both phase nodes bypass only below kSummaryPublished: an
+    // estimate node cancelled later still has a session to end, so it
+    // dispatches (its body skips the estimate and sends EndQuery).
+    TaskOptions endpoint_opts = opts;
+    endpoint_opts.cancel = spec.cancel;
+    endpoint_opts.claim_stage = QueryStage::kSummaryPublished;
     std::vector<TaskGraph::TaskId> combine_deps(num_endpoints);
     if (st.exact) {
       for (size_t e = 0; e < num_endpoints; ++e) {
@@ -424,7 +405,7 @@ void RunBatchTaskGraph(const BatchContext& ctx, ThreadPool* pool,
               RunPhase2(ctx, st, e);
               return st.phase2_status[e];
             },
-            {}, (*ctx.endpoints)[e].get(), estimate_opts);
+            {}, (*ctx.endpoints)[e].get(), endpoint_opts);
       }
     } else {
       std::vector<TaskGraph::TaskId> phase1(num_endpoints);
@@ -435,7 +416,7 @@ void RunBatchTaskGraph(const BatchContext& ctx, ThreadPool* pool,
               RunPhase1(ctx, st, e);
               return st.phase1_status[e];
             },
-            {}, (*ctx.endpoints)[e].get(), summary_opts);
+            {}, (*ctx.endpoints)[e].get(), endpoint_opts);
       }
       TaskGraph::TaskId alloc = graph.Add(
           TaskKey{st.id, TaskPhase::kAllocate, TaskKey::kCoordinator, 0},
@@ -451,7 +432,7 @@ void RunBatchTaskGraph(const BatchContext& ctx, ThreadPool* pool,
               RunPhase2(ctx, st, e);
               return st.phase2_status[e];
             },
-            {alloc}, (*ctx.endpoints)[e].get(), estimate_opts);
+            {alloc}, (*ctx.endpoints)[e].get(), endpoint_opts);
       }
       // Chain combines only when the combine itself draws from the
       // aggregator's RNG (SMC mode): the local-DP combine is a pure sum,
@@ -476,29 +457,6 @@ void RunBatchTaskGraph(const BatchContext& ctx, ThreadPool* pool,
                   return Status::OK();
                 },
                 {combine}, nullptr, opts);
-    }
-    if (!st.exact) {
-      // Pipelined EndQuery: the session-release round rides the same
-      // graph as per-endpoint kRelease nodes instead of a sequential
-      // post-batch loop, so one query's cleanup overlaps other queries'
-      // phases (RunCombine already charged these rounds to SimNetwork).
-      // claim_stage = kSummaryPublished makes the dispatch bypass fire
-      // exactly when NoSessionWasOpened() — the body is then a
-      // guaranteed no-op and runs inline; a cancellation that may have
-      // left real sessions still dispatches the release normally.
-      TaskOptions release_opts = opts;
-      release_opts.cancel = spec.cancel;
-      release_opts.claim_stage = QueryStage::kSummaryPublished;
-      for (size_t e = 0; e < num_endpoints; ++e) {
-        graph.Add(TaskKey{st.id, TaskPhase::kRelease, static_cast<uint32_t>(e), 0},
-                  [&ctx, &st, e] {
-                    if (!NoSessionWasOpened(st)) {
-                      (*ctx.endpoints)[e]->EndQuery(st.id);
-                    }
-                    return Status::OK();
-                  },
-                  {combine}, (*ctx.endpoints)[e].get(), release_opts);
-      }
     }
   }
   graph.Run();
@@ -707,21 +665,20 @@ std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchSpecs(
     st.estimates.resize(num_endpoints);
     st.phase1_status.assign(num_endpoints, Status::OK());
 
-    // Step 1: broadcast the framed cover request (it carries the query
-    // plus the session ids). All network rounds charge the wire codec's
-    // exact framed sizes, so the simulator's byte counts equal what the
-    // RPC transport moves for the same protocol by construction.
+    // Steps 1-2: broadcast the framed Open request (it carries the query,
+    // the session ids, and eps_O). All network rounds charge the wire
+    // codec's exact framed sizes, so the simulator's byte counts equal
+    // what the RPC transport moves for the same protocol by construction.
     st.network->UniformRound(
         num_endpoints,
-        WireSize(CoverRequest{st.id, st.nonce, specs[q].query}));
+        WireSize(OpenRequest{CoverRequest{st.id, st.nonce, specs[q].query},
+                             st.eps_o}));
   }
 
   // Run the batch under the configured scheduler. Both run the same
   // per-unit bodies; only their scheduling (and therefore wall time)
   // differs — answers, statuses, and per-query SimNetwork charges are
-  // bit-identical. Both schedulers' walls include session cleanup (the
-  // graph runs it as pipelined kRelease nodes, the barrier as its
-  // sequential reference loop).
+  // bit-identical.
   Stopwatch batch_timer;
   last_batch_stats_ = BatchRunStats{};
   if (config_.scheduler == BatchScheduler::kPhaseBarrier) {
@@ -734,7 +691,7 @@ std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchSpecs(
     last_batch_stats_.wall_seconds = batch_timer.ElapsedSeconds();
   }
 
-  // Outcome packaging (session cleanup already ran under the scheduler).
+  // Outcome packaging (every session already ended under the scheduler).
   std::vector<BatchOutcome> outcomes(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
     QueryState& st = states[q];

@@ -268,11 +268,11 @@ class QueryOrchestrator {
   /// drives. Like ExecuteBatchUncharged (no orchestrator-side budget
   /// charging; the caller admits), but each entry carries its own
   /// exact/approximate flavor, scheduling urgency, cancellation token,
-  /// and completion callback. Under the task-graph scheduler, session
-  /// cleanup (EndQuery) is pipelined as per-endpoint kRelease nodes of
-  /// the same graph instead of a sequential post-batch loop; the barrier
-  /// scheduler keeps the sequential reference loop (inside the measured
-  /// wall). Outcomes are positionally aligned with `specs`; answers are
+  /// and completion callback. Each provider's estimate call ends its
+  /// session, so a successful query needs no cleanup round; a query that
+  /// fails or is cancelled after its summary ends its open sessions with
+  /// EndQuery from the same estimate step, under either scheduler.
+  /// Outcomes are positionally aligned with `specs`; answers are
   /// bit-identical across schedulers, pool sizes, and batch splits for
   /// the same admission sequence.
   std::vector<BatchOutcome> ExecuteBatchSpecs(

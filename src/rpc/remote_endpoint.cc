@@ -363,6 +363,14 @@ Result<SummaryReply> RemoteEndpoint::PublishSummary(
   return DecodeReply(reply, DecodeSummaryReply);
 }
 
+Result<OpenReply> RemoteEndpoint::Open(const OpenRequest& request) {
+  obs::ScopedSpan span("rpc", "rpc/open", request.cover.query_id);
+  ByteWriter payload;
+  EncodeOpenRequest(request, &payload);
+  FEDAQP_ASSIGN_OR_RETURN(RpcFrame reply, RoundTrip(RpcMethod::kOpen, payload));
+  return DecodeReply(reply, DecodeOpenReply);
+}
+
 Result<EstimateReply> RemoteEndpoint::Approximate(
     const ApproximateRequest& request) {
   obs::ScopedSpan span("rpc", "rpc/approximate", request.query_id);

@@ -45,7 +45,7 @@ namespace fedaqp {
 ///
 /// After a transport error the connection is poisoned: sessionful calls
 /// fail with FailedPrecondition instead of desynchronizing the frame
-/// stream (replaying Cover would re-key a session's noise stream — never
+/// stream (replaying Open would re-key a session's noise stream — never
 /// auto-retried). The stateless `ExactFullScan` is the one exception: it
 /// is documented idempotent (no session, no provider RNG), so a poisoned
 /// or mid-call-broken endpoint performs ONE automatic reconnect — with a
@@ -87,6 +87,8 @@ class RemoteEndpoint : public ProviderEndpoint {
 
   Result<CoverReply> Cover(const CoverRequest& request) override;
   Result<SummaryReply> PublishSummary(const SummaryRequest& request) override;
+  /// One kOpen round trip instead of the default's kCover + kPublishSummary.
+  Result<OpenReply> Open(const OpenRequest& request) override;
   Result<EstimateReply> Approximate(const ApproximateRequest& request) override;
   Result<EstimateReply> ExactAnswer(const ExactAnswerRequest& request) override;
   Result<ExactScanReply> ExactFullScan(const ExactScanRequest& request) override;

@@ -86,6 +86,8 @@ const char* RpcMethodName(RpcMethod method) {
       return "ledger_saving";
     case RpcMethod::kLedgerQuery:
       return "ledger_query";
+    case RpcMethod::kOpen:
+      return "open";
     case RpcMethod::kError:
       return "error";
   }
@@ -482,9 +484,10 @@ void RpcProviderServer::MaybeDestroy(uint64_t conn_id) {
   if (!finished) return;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c->conn.fd(), nullptr);
   // Sessions are connection-scoped: whatever the peer left open (it
-  // crashed, or never sent EndQuery) is released with the connection, so
-  // dead coordinators cannot leak provider memory. Safe without c->m: a
-  // finished connection has no worker (observed !processing above).
+  // crashed mid-query, or never sent the estimate call) is released
+  // with the connection, so dead coordinators cannot leak provider
+  // memory. Safe without c->m: a finished connection has no worker
+  // (observed !processing above).
   for (uint64_t session : c->live_sessions) endpoint_.EndQuery(session);
   connections_.erase(it);  // Destructor closes the socket. Workers'
                            // shared_ptr copies (if any, for a dead
@@ -502,9 +505,26 @@ bool RpcProviderServer::HandleFrame(const RpcFrame& frame, uint64_t conn_id,
     return MixSeeds(conn_id, query_id);
   };
   ServerFramesCounter().Add();
+  frames_by_method_[static_cast<uint8_t>(frame.method)].fetch_add(
+      1, std::memory_order_relaxed);
   obs::ScopedSpan span("server", [&frame] {
     return std::string("server/") + RpcMethodName(frame.method);
   });
+  // Admission of a session-opening request (kCover, kOpen). The
+  // in-process engine validates queries coordinator-side; a wire client
+  // is untrusted, so re-validate before the provider indexes rows with
+  // the query's dimension indexes. The cap bounds what a client that
+  // never sends its estimates (or EndQuery) can hold open.
+  const auto admit_session = [&](const CoverRequest& request) -> Status {
+    FEDAQP_RETURN_IF_ERROR(request.query.Validate(endpoint_.info().schema));
+    if (live_sessions->count(request.query_id) == 0 &&
+        live_sessions->size() >= max_sessions_per_connection_) {
+      return Status::FailedPrecondition(
+          "rpc: too many open sessions on this connection (each needs "
+          "its estimate call or an EndQuery to close)");
+    }
+    return Status::OK();
+  };
   ByteReader reader(frame.payload);
   switch (frame.method) {
     case RpcMethod::kInfo: {
@@ -522,24 +542,36 @@ bool RpcProviderServer::HandleFrame(const RpcFrame& frame, uint64_t conn_id,
       if (req.ok()) {
         Status consumed = ExpectConsumed(reader);
         if (!consumed.ok()) return AppendError(out, consumed);
-        // The in-process engine validates queries coordinator-side; a
-        // wire client is untrusted, so re-validate before the provider
-        // indexes rows with the query's dimension indexes.
-        Status valid = req->query.Validate(endpoint_.info().schema);
-        if (!valid.ok()) return AppendError(out, valid);
         CoverRequest scoped = *req;
         scoped.query_id = namespaced(req->query_id);
         span.set_session(scoped.query_id);
-        if (live_sessions->count(scoped.query_id) == 0 &&
-            live_sessions->size() >= max_sessions_per_connection_) {
-          return AppendError(
-              out, Status::FailedPrecondition(
-                       "rpc: too many open sessions on this connection "
-                       "(EndQuery finished queries)"));
-        }
+        Status admitted = admit_session(scoped);
+        if (!admitted.ok()) return AppendError(out, admitted);
         Result<CoverReply> reply = endpoint_.Cover(scoped);
         if (reply.ok()) live_sessions->insert(scoped.query_id);
         return AppendReply(out, frame.method, reply, EncodeCoverReply);
+      }
+      return AppendError(out, req.status());
+    }
+    case RpcMethod::kOpen: {
+      Result<OpenRequest> req = DecodeOpenRequest(&reader);
+      if (req.ok()) {
+        Status consumed = ExpectConsumed(reader);
+        if (!consumed.ok()) return AppendError(out, consumed);
+        OpenRequest scoped = *req;
+        scoped.cover.query_id = namespaced(req->cover.query_id);
+        span.set_session(scoped.cover.query_id);
+        Status admitted = admit_session(scoped.cover);
+        if (!admitted.ok()) return AppendError(out, admitted);
+        // A failed Open leaves no session at the endpoint (see
+        // ProviderEndpoint::Open), including one it replaced.
+        Result<OpenReply> reply = endpoint_.Open(scoped);
+        if (reply.ok()) {
+          live_sessions->insert(scoped.cover.query_id);
+        } else {
+          live_sessions->erase(scoped.cover.query_id);
+        }
+        return AppendReply(out, frame.method, reply, EncodeOpenReply);
       }
       return AppendError(out, req.status());
     }
@@ -564,8 +596,10 @@ bool RpcProviderServer::HandleFrame(const RpcFrame& frame, uint64_t conn_id,
         ApproximateRequest scoped = *req;
         scoped.query_id = namespaced(req->query_id);
         span.set_session(scoped.query_id);
-        return AppendReply(out, frame.method, endpoint_.Approximate(scoped),
-                           EncodeEstimateReply);
+        // The estimate ends the session at the endpoint, success or not.
+        Result<EstimateReply> reply = endpoint_.Approximate(scoped);
+        live_sessions->erase(scoped.query_id);
+        return AppendReply(out, frame.method, reply, EncodeEstimateReply);
       }
       return AppendError(out, req.status());
     }
@@ -577,8 +611,9 @@ bool RpcProviderServer::HandleFrame(const RpcFrame& frame, uint64_t conn_id,
         ExactAnswerRequest scoped = *req;
         scoped.query_id = namespaced(req->query_id);
         span.set_session(scoped.query_id);
-        return AppendReply(out, frame.method, endpoint_.ExactAnswer(scoped),
-                           EncodeEstimateReply);
+        Result<EstimateReply> reply = endpoint_.ExactAnswer(scoped);
+        live_sessions->erase(scoped.query_id);
+        return AppendReply(out, frame.method, reply, EncodeEstimateReply);
       }
       return AppendError(out, req.status());
     }
@@ -655,6 +690,11 @@ bool RpcProviderServer::HandleFrame(const RpcFrame& frame, uint64_t conn_id,
       return false;
   }
   return false;  // Unreachable: DecodeFrameHeader rejects unknown ids.
+}
+
+uint64_t RpcProviderServer::frames_received(RpcMethod method) const {
+  return frames_by_method_[static_cast<uint8_t>(method)].load(
+      std::memory_order_relaxed);
 }
 
 void RpcProviderServer::Stop() {

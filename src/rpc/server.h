@@ -1,6 +1,7 @@
 #ifndef FEDAQP_RPC_SERVER_H_
 #define FEDAQP_RPC_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -25,9 +26,10 @@ struct RpcServerOptions {
   /// hundreds of idle or slow connections.
   size_t num_workers = 4;
   /// Cap on concurrently open query sessions per connection: an
-  /// untrusted wire client looping Cover without EndQuery would
-  /// otherwise grow the provider's session map without bound. Well over
-  /// any real coordinator's in-flight batch size.
+  /// untrusted wire client looping Open (or Cover) without ever sending
+  /// the estimate call that ends a session would otherwise grow the
+  /// provider's session map without bound. Well over any real
+  /// coordinator's in-flight batch size.
   size_t max_sessions_per_connection = 1024;
   /// Disconnect a connection whose next request does not arrive within
   /// this many seconds (<= 0 disables). Idle sockets no longer pin a
@@ -61,6 +63,10 @@ struct RpcServerOptions {
 /// sub-frame in order, and answered with a single kBatch reply carrying
 /// the sub-replies in request order.
 ///
+/// Session lifecycle: kOpen (or kCover) opens a session and the kApproximate
+/// or kExactAnswer request that follows ends it, so a query's two round
+/// trips leave nothing behind; kEndQuery is needed only for a session
+/// whose estimate will never be asked for (a cancelled or failed query).
 /// Session ids are namespaced per connection — each request's query_id
 /// is rewritten to MixSeeds(connection id, query_id) before dispatch —
 /// so independent coordinators, which all number their queries from 1,
@@ -92,9 +98,14 @@ class RpcProviderServer {
   void Stop();
 
   /// Query sessions currently open across all connections (diagnostic:
-  /// must drain to zero once every coordinator ends its queries or
+  /// must drain to zero once every coordinator finishes its queries or
   /// disconnects).
   size_t num_open_sessions() const { return endpoint_.num_open_sessions(); }
+
+  /// Request frames received with `method`, over the server's lifetime.
+  /// Each sub-frame of a kBatch counts under its own method (and the
+  /// container under kBatch).
+  uint64_t frames_received(RpcMethod method) const;
 
  private:
   /// Per-connection event-loop state. The loop thread owns the socket,
@@ -139,6 +150,8 @@ class RpcProviderServer {
                    ByteWriter* out);
 
   InProcessEndpoint endpoint_;
+  /// Per-method request-frame counts, indexed by method id.
+  std::array<std::atomic<uint64_t>, 16> frames_by_method_{};
   TcpListener listener_;
   uint16_t port_ = 0;
   size_t max_sessions_per_connection_ = 1024;

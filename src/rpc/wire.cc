@@ -32,9 +32,10 @@ Status CheckCount(uint64_t count, size_t min_bytes_each, const ByteReader& r) {
 }  // namespace
 
 bool IsRequestMethod(uint8_t method) {
-  // kInfo..kEndQuery, kBatch, and the kLedger* block are contiguous ids.
+  // kInfo..kEndQuery, kBatch, the kLedger* block, and kOpen are
+  // contiguous ids.
   return method >= static_cast<uint8_t>(RpcMethod::kInfo) &&
-         method <= static_cast<uint8_t>(RpcMethod::kLedgerQuery);
+         method <= static_cast<uint8_t>(RpcMethod::kOpen);
 }
 
 void EncodeFrameHeader(RpcMethod method, uint32_t payload_size, ByteWriter* w) {
@@ -266,6 +267,30 @@ Result<SummaryReply> DecodeSummaryReply(ByteReader* r) {
   return v;
 }
 
+void EncodeOpenRequest(const OpenRequest& v, ByteWriter* w) {
+  EncodeCoverRequest(v.cover, w);
+  w->PutDouble(v.eps_allocation);
+}
+
+Result<OpenRequest> DecodeOpenRequest(ByteReader* r) {
+  OpenRequest v;
+  FEDAQP_ASSIGN_OR_RETURN(v.cover, DecodeCoverRequest(r));
+  FEDAQP_ASSIGN_OR_RETURN(v.eps_allocation, r->GetDouble());
+  return v;
+}
+
+void EncodeOpenReply(const OpenReply& v, ByteWriter* w) {
+  EncodeCoverReply(v.cover, w);
+  EncodeSummaryReply(v.summary, w);
+}
+
+Result<OpenReply> DecodeOpenReply(ByteReader* r) {
+  OpenReply v;
+  FEDAQP_ASSIGN_OR_RETURN(v.cover, DecodeCoverReply(r));
+  FEDAQP_ASSIGN_OR_RETURN(v.summary, DecodeSummaryReply(r));
+  return v;
+}
+
 void EncodeApproximateRequest(const ApproximateRequest& v, ByteWriter* w) {
   w->PutU64(v.query_id);
   w->PutU64(v.sample_size);
@@ -426,17 +451,11 @@ size_t EncodedWireSize(const T& v) {
 
 }  // namespace
 
-size_t WireSize(const CoverRequest& v) {
-  return EncodedWireSize<CoverRequest, EncodeCoverRequest>(v);
+size_t WireSize(const OpenRequest& v) {
+  return EncodedWireSize<OpenRequest, EncodeOpenRequest>(v);
 }
-size_t WireSize(const CoverReply& v) {
-  return EncodedWireSize<CoverReply, EncodeCoverReply>(v);
-}
-size_t WireSize(const SummaryRequest& v) {
-  return EncodedWireSize<SummaryRequest, EncodeSummaryRequest>(v);
-}
-size_t WireSize(const SummaryReply& v) {
-  return EncodedWireSize<SummaryReply, EncodeSummaryReply>(v);
+size_t WireSize(const OpenReply& v) {
+  return EncodedWireSize<OpenReply, EncodeOpenReply>(v);
 }
 size_t WireSize(const ApproximateRequest& v) {
   return EncodedWireSize<ApproximateRequest, EncodeApproximateRequest>(v);
@@ -452,9 +471,6 @@ size_t WireSize(const ExactScanRequest& v) {
 }
 size_t WireSize(const ExactScanReply& v) {
   return EncodedWireSize<ExactScanReply, EncodeExactScanReply>(v);
-}
-size_t WireSize(const EndQueryRequest& v) {
-  return EncodedWireSize<EndQueryRequest, EncodeEndQueryRequest>(v);
 }
 
 }  // namespace fedaqp

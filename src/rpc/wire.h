@@ -60,6 +60,10 @@ enum class RpcMethod : uint8_t {
   kLedgerRefund = 11,
   kLedgerSaving = 12,
   kLedgerQuery = 13,
+  /// Fused protocol steps 1-2 (ProviderEndpoint::Open): OpenRequest in,
+  /// OpenReply out. kCover and kPublishSummary remain served for clients
+  /// that drive the two steps separately.
+  kOpen = 14,
   /// Reply-only: the payload is a serialized non-OK Status.
   kError = 15,
 };
@@ -139,6 +143,12 @@ Result<SummaryRequest> DecodeSummaryRequest(ByteReader* r);
 void EncodeSummaryReply(const SummaryReply& v, ByteWriter* w);
 Result<SummaryReply> DecodeSummaryReply(ByteReader* r);
 
+void EncodeOpenRequest(const OpenRequest& v, ByteWriter* w);
+Result<OpenRequest> DecodeOpenRequest(ByteReader* r);
+
+void EncodeOpenReply(const OpenReply& v, ByteWriter* w);
+Result<OpenReply> DecodeOpenReply(ByteReader* r);
+
 void EncodeApproximateRequest(const ApproximateRequest& v, ByteWriter* w);
 Result<ApproximateRequest> DecodeApproximateRequest(ByteReader* r);
 
@@ -156,6 +166,8 @@ Result<ExactScanReply> DecodeExactScanReply(ByteReader* r);
 
 /// Session-release request (ProviderEndpoint::EndQuery takes a bare id;
 /// the wire needs a struct). The reply is an empty-payload kEndQuery ack.
+/// Only cancel and failure paths send it: an estimate call ends its
+/// session implicitly.
 struct EndQueryRequest {
   uint64_t query_id = 0;
 };
@@ -218,18 +230,13 @@ constexpr size_t FramedSize(size_t payload_bytes) {
   return kFrameHeaderBytes + payload_bytes;
 }
 
-size_t WireSize(const CoverRequest& v);
-size_t WireSize(const CoverReply& v);
-size_t WireSize(const SummaryRequest& v);
-size_t WireSize(const SummaryReply& v);
+size_t WireSize(const OpenRequest& v);
+size_t WireSize(const OpenReply& v);
 size_t WireSize(const ApproximateRequest& v);
 size_t WireSize(const ExactAnswerRequest& v);
 size_t WireSize(const EstimateReply& v);
 size_t WireSize(const ExactScanRequest& v);
 size_t WireSize(const ExactScanReply& v);
-size_t WireSize(const EndQueryRequest& v);
-/// The empty-payload EndQuery acknowledgement.
-constexpr size_t kEndQueryAckWireSize = FramedSize(0);
 
 }  // namespace fedaqp
 

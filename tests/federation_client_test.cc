@@ -637,10 +637,10 @@ TEST(FederationClientExactTest, ExactSpecsMatchTheExactBaseline) {
   EXPECT_EQ(direct->estimate, expected);
 }
 
-// ------------------------------------------------- pipelined session release --
+// -------------------------------------------------- implicit session release --
 
-// EndQuery rides the task graph as kRelease nodes; every session must
-// still be closed by the time the batch returns.
+// Each provider's estimate call ends its session, so every session must
+// be closed by the time the batch returns without any release step.
 TEST(FederationClientReleaseTest, GraphBatchReleasesEverySession) {
   auto providers = MakeFederation(2);
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> endpoints =

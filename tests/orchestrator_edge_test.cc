@@ -156,10 +156,10 @@ TEST(OrchestratorEdgeTest, MessageCountMatchesProtocolRounds) {
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build();
   Result<QueryResponse> resp = orch->Execute(q);
   ASSERT_TRUE(resp.ok());
-  // DP mode charges the real RPC exchange: 8 rounds of 2 messages each
-  // (cover request/reply, summary request/reply, estimate request/reply,
-  // end-query request/ack).
-  EXPECT_EQ(resp->breakdown.network_messages, 16u);
+  // DP mode charges the real RPC exchange: two round trips per provider
+  // (open request/reply, estimate request/reply; the estimate ends the
+  // session, so no release round), 2 providers x 2 rounds x 2 messages.
+  EXPECT_EQ(resp->breakdown.network_messages, 8u);
   Result<QueryResponse> exact = orch->ExecuteExact(q);
   ASSERT_TRUE(exact.ok());
   // Exact: scan request broadcast + framed replies.

@@ -98,6 +98,16 @@ TEST(RpcWireTest, RandomizedMessagesRoundTripBitExact) {
     sum_reply.summary.work = RandomWork(&rng);
     ExpectRoundTrip(sum_reply, EncodeSummaryReply, DecodeSummaryReply);
 
+    OpenRequest open_req;
+    open_req.cover.query_id = rng.NextU64();
+    open_req.cover.session_nonce = rng.NextU64();
+    open_req.cover.query = RandomQuery(&rng);
+    open_req.eps_allocation = rng.UniformDouble();
+    ExpectRoundTrip(open_req, EncodeOpenRequest, DecodeOpenRequest);
+
+    ExpectRoundTrip(OpenReply{cover_reply, sum_reply}, EncodeOpenReply,
+                    DecodeOpenReply);
+
     ApproximateRequest approx_req;
     approx_req.query_id = rng.NextU64();
     approx_req.sample_size = rng.NextU64() >> 32;
@@ -192,7 +202,7 @@ TEST(RpcWireTest, WrongVersionIsRejected) {
 
 TEST(RpcWireTest, UnknownMethodIdIsRejected) {
   std::vector<uint8_t> frame = ValidFrame();
-  for (uint8_t bad : {uint8_t{0}, uint8_t{14}, uint8_t{0xff}}) {
+  for (uint8_t bad : {uint8_t{0}, uint8_t{16}, uint8_t{0xff}}) {
     frame[5] = bad;
     Result<FrameHeader> header = ParseHeader(frame);
     ASSERT_FALSE(header.ok()) << "method id " << int(bad);
@@ -205,10 +215,11 @@ TEST(RpcWireTest, UnknownMethodIdIsRejected) {
   // So is kBatch (the doorbell container).
   frame[5] = static_cast<uint8_t>(RpcMethod::kBatch);
   EXPECT_TRUE(ParseHeader(frame).ok());
-  // The ledger-service methods fill the former 9..13 gap.
+  // The ledger-service methods fill the former 9..13 gap, and kOpen
+  // takes 14.
   for (RpcMethod m : {RpcMethod::kLedgerRegister, RpcMethod::kLedgerCharge,
                       RpcMethod::kLedgerRefund, RpcMethod::kLedgerSaving,
-                      RpcMethod::kLedgerQuery}) {
+                      RpcMethod::kLedgerQuery, RpcMethod::kOpen}) {
     frame[5] = static_cast<uint8_t>(m);
     EXPECT_TRUE(ParseHeader(frame).ok()) << "method id " << int(frame[5]);
   }
@@ -255,11 +266,36 @@ TEST(RpcWireTest, TruncatedPayloadsNeverCrashOrOverRead) {
           << decoded.status().ToString();
     }
   }
+  for (int i = 0; i < 50; ++i) {
+    ByteWriter w;
+    OpenRequest req;
+    req.cover.query_id = rng.NextU64();
+    req.cover.session_nonce = rng.NextU64();
+    req.cover.query = RandomQuery(&rng);
+    req.eps_allocation = rng.UniformDouble();
+    EncodeOpenRequest(req, &w);
+    // The trailing eps field means no proper prefix is a whole message.
+    for (size_t len = 0; len < w.size(); ++len) {
+      ByteReader r(w.bytes().data(), len);
+      Result<OpenRequest> decoded = DecodeOpenRequest(&r);
+      ASSERT_FALSE(decoded.ok()) << "prefix length " << len;
+      EXPECT_TRUE(decoded.status().code() == StatusCode::kOutOfRange ||
+                  decoded.status().code() == StatusCode::kInvalidArgument ||
+                  decoded.status().code() == StatusCode::kProtocolError)
+          << decoded.status().ToString();
+    }
+  }
   ByteWriter w;
   EncodeEstimateReply(EstimateReply{RandomEstimate(&rng)}, &w);
   for (size_t len = 0; len < w.size(); ++len) {
     ByteReader r(w.bytes().data(), len);
     EXPECT_FALSE(DecodeEstimateReply(&r).ok());
+  }
+  ByteWriter open_reply;
+  EncodeOpenReply(OpenReply{}, &open_reply);
+  for (size_t len = 0; len < open_reply.size(); ++len) {
+    ByteReader r(open_reply.bytes().data(), len);
+    EXPECT_FALSE(DecodeOpenReply(&r).ok());
   }
 }
 
@@ -290,6 +326,18 @@ TEST(RpcWireTest, HostileElementCountsDoNotAllocate) {
   s.PutU32(0x7fffffff);
   ByteReader sr(s.bytes());
   EXPECT_FALSE(DecodeSchema(&sr).ok());
+
+  // And for an Open request whose embedded query claims 2^32-1 ranges.
+  ByteWriter o;
+  o.PutU64(1);           // query id
+  o.PutU64(2);           // session nonce
+  o.PutU8(0);            // aggregation = count
+  o.PutU32(0xffffffff);  // range count
+  o.PutDouble(0.5);      // eps_allocation
+  ByteReader orr(o.bytes());
+  Result<OpenRequest> open = DecodeOpenRequest(&orr);
+  ASSERT_FALSE(open.ok());
+  EXPECT_EQ(open.status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(RpcWireTest, CorruptBoolAndStatusBytesAreRejected) {
@@ -331,20 +379,23 @@ TEST(RpcWireTest, WireSizeMatchesEncodedFrameForEveryMessageType) {
     cover_req.session_nonce = rng.NextU64();
     cover_req.query = RandomQuery(&rng);
     {
+      OpenRequest v{cover_req, rng.UniformDouble()};
       ByteWriter w;
-      EncodeCoverRequest(cover_req, &w);
-      EXPECT_EQ(WireSize(cover_req),
-                EncodeFrame(RpcMethod::kCover, w).size());
+      EncodeOpenRequest(v, &w);
+      EXPECT_EQ(WireSize(v), EncodeFrame(RpcMethod::kOpen, w).size());
     }
     {
-      CoverReply v;
-      v.work = RandomWork(&rng);
+      OpenReply v;
+      v.cover.num_covering_clusters = rng.NextU64();
+      v.cover.should_approximate = rng.Bernoulli(0.5);
+      v.cover.work = RandomWork(&rng);
+      v.summary.summary.work = RandomWork(&rng);
       ByteWriter w;
-      EncodeCoverReply(v, &w);
-      EXPECT_EQ(WireSize(v), EncodeFrame(RpcMethod::kCover, w).size());
+      EncodeOpenReply(v, &w);
+      EXPECT_EQ(WireSize(v), EncodeFrame(RpcMethod::kOpen, w).size());
       // Size must be value-independent (the orchestrator charges a
       // default-constructed instance).
-      EXPECT_EQ(WireSize(v), WireSize(CoverReply{}));
+      EXPECT_EQ(WireSize(v), WireSize(OpenReply{}));
     }
     {
       EstimateReply v{RandomEstimate(&rng)};
@@ -354,19 +405,11 @@ TEST(RpcWireTest, WireSizeMatchesEncodedFrameForEveryMessageType) {
       EXPECT_EQ(WireSize(v), WireSize(EstimateReply{}));
     }
     {
-      SummaryReply v;
-      v.summary.work = RandomWork(&rng);
-      EXPECT_EQ(WireSize(v), WireSize(SummaryReply{}));
-    }
-    {
       ApproximateRequest v;
       v.sample_size = rng.NextU64();
       EXPECT_EQ(WireSize(v), WireSize(ApproximateRequest{}));
     }
   }
-  ByteWriter empty;
-  EXPECT_EQ(kEndQueryAckWireSize,
-            EncodeFrame(RpcMethod::kEndQuery, empty).size());
 }
 
 std::unique_ptr<DataProvider> MakeProvider(size_t rows, uint64_t seed,
@@ -421,15 +464,15 @@ TEST(RpcWireTest, OrchestratorChargesExactlyTheCodecSizes) {
     }
     Result<QueryResponse> resp = orch->Execute(q);
     ASSERT_TRUE(resp.ok());
+    // Two round trips per provider: Open, then the estimate (which ends
+    // the session — no release round).
     uint64_t expected =
-        n * (WireSize(CoverRequest{1, 1, q}) + WireSize(CoverReply{}) +
-             WireSize(SummaryRequest{}) + WireSize(SummaryReply{}) +
-             WireSize(EstimateReply{}) + WireSize(EndQueryRequest{}) +
-             kEndQueryAckWireSize) +
+        n * (WireSize(OpenRequest{CoverRequest{1, 1, q}, 0.0}) +
+             WireSize(OpenReply{}) + WireSize(EstimateReply{})) +
         phase2[0] + phase2[1];
     EXPECT_EQ(resp->breakdown.network_bytes, expected)
         << q.ToString(orch->schema());
-    EXPECT_EQ(resp->breakdown.network_messages, 8 * n);
+    EXPECT_EQ(resp->breakdown.network_messages, 4 * n);
   }
 
   Result<QueryResponse> exact = orch->ExecuteExact(
