@@ -249,13 +249,14 @@ int main(int argc, char** argv) {
   if (!wl.ok()) return 1;
 
   {
-    Result<QueryOrchestrator> orch = Orchestrate(fed.get(), protocol);
-    if (!orch.ok()) return 1;
+    Result<std::unique_ptr<FederationClient>> client =
+        MakeClient(fed->MakeEndpoints(), protocol);
+    if (!client.ok()) return 1;
     std::vector<double> errs;
     size_t rows_scanned = 0;
     for (const auto& q : *wl) {
-      Result<QueryResponse> exact = orch->ExecuteExact(q);
-      Result<QueryResponse> resp = orch->Execute(q);
+      Result<QueryResponse> exact = Ask(client->get(), q, QueryKind::kExact);
+      Result<QueryResponse> resp = Ask(client->get(), q);
       if (!exact.ok() || !resp.ok()) return 1;
       errs.push_back(RelativeError(exact->estimate, resp->estimate));
       rows_scanned += resp->breakdown.rows_scanned;

@@ -135,14 +135,28 @@ inline std::unique_ptr<Federation> OpenPaperFederation(
   return std::move(fed).value();
 }
 
-/// Fresh orchestrator over a federation's providers with a tweaked config
-/// (parameter sweeps reuse the expensive offline build).
-inline Result<QueryOrchestrator> Orchestrate(Federation* fed,
-                                             FederationConfig config) {
-  config.total_xi = 1e18;
-  config.total_psi = 1e9;
+/// Fresh client over `endpoints` (a federation's MakeEndpoints(), or
+/// remote ones) with a tweaked config, so parameter sweeps reuse the
+/// expensive offline build. Its one analyst, Federation::kAnalyst, holds
+/// a grant that never interferes.
+inline Result<std::unique_ptr<FederationClient>> MakeClient(
+    std::vector<std::shared_ptr<ProviderEndpoint>> endpoints,
+    FederationConfig config) {
   config.network.latency_seconds = 1e-5;
-  return QueryOrchestrator::Create(fed->provider_ptrs(), config);
+  FederationClient::Options opts;
+  opts.protocol = config;
+  opts.analysts = {{Federation::kAnalyst, 1e18, 1e9}};
+  return FederationClient::Create(std::move(endpoints), opts);
+}
+
+/// Submits `q` for Federation::kAnalyst and waits for the answer.
+inline Result<QueryResponse> Ask(FederationClient* client, const RangeQuery& q,
+                                 QueryKind kind = QueryKind::kApproximate) {
+  QuerySpec spec;
+  spec.analyst = Federation::kAnalyst;
+  spec.query = q;
+  spec.kind = kind;
+  return client->Submit(std::move(spec)).Wait();
 }
 
 /// Admission rule of the paper's workloads: the query must trigger

@@ -1,11 +1,11 @@
 // Client-concurrency bench: the async FederationClient under multiple
-// submitter threads, against the synchronous ExecuteBatch path.
+// submitter threads, against a synchronous SubmitAll + WaitAll replay.
 //
 // Three experiments over one federation:
 //   1. async:  N submitter threads push the workload through
 //      FederationClient::Submit; wall time from burst start to idle.
 //   2. sync:   the same admission sequence (the one the async run
-//      actually produced) replayed through QueryEngine::ExecuteBatch on
+//      actually produced) replayed as one SubmitAll + WaitAll on
 //      an identically rebuilt federation — the determinism gate: every
 //      estimate and every analyst ledger must match the async run
 //      bit-for-bit, or the bench exits non-zero.
@@ -33,7 +33,6 @@
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
 #include "exec/federation_client.h"
-#include "exec/query_engine.h"
 
 namespace fedaqp {
 namespace {
@@ -144,7 +143,7 @@ int Run(int argc, char** argv) {
             [](const QueryTicket& a, const QueryTicket& b) {
               return a.id() < b.id();
             });
-  std::vector<AnalystQuery> sequence;
+  std::vector<QuerySpec> sequence;
   std::vector<double> async_estimates;
   for (QueryTicket& ticket : tickets) {
     Result<QueryResponse> resp = ticket.Wait();
@@ -160,17 +159,21 @@ int Run(int argc, char** argv) {
   // ---- 2. sync replay: one batch, one thread --------------------------
   std::unique_ptr<Federation> fed_sync = open_federation();
   if (!fed_sync) return 1;
-  QueryEngineOptions eopts;
-  eopts.protocol = protocol;
-  eopts.analysts = copts.analysts;
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(fed_sync->provider_ptrs(), eopts);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
+  FederationClient::Options sync_opts;
+  sync_opts.protocol = protocol;
+  sync_opts.analysts = copts.analysts;
+  Result<std::unique_ptr<FederationClient>> sync_client =
+      FederationClient::Create(fed_sync->provider_ptrs(), sync_opts);
+  if (!sync_client.ok()) {
+    std::fprintf(stderr, "sync client: %s\n",
+                 sync_client.status().ToString().c_str());
     return 1;
   }
+  const size_t num_replayed = sequence.size();
   Stopwatch sync_timer;
-  std::vector<BatchOutcome> outcomes = (*engine)->ExecuteBatch(sequence);
+  std::vector<QueryTicket> replayed =
+      (*sync_client)->SubmitAll(std::move(sequence));
+  std::vector<BatchOutcome> outcomes = WaitAll(replayed);
   const double sync_wall = sync_timer.ElapsedSeconds();
 
   bool identical = outcomes.size() == async_estimates.size();
@@ -184,7 +187,7 @@ int Run(int argc, char** argv) {
   for (size_t s = 0; s < submitters; ++s) {
     const std::string analyst = "a" + std::to_string(s);
     Result<PrivacyBudget> a = async_client->ledger().Spent(analyst);
-    Result<PrivacyBudget> b = (*engine)->ledger().Spent(analyst);
+    Result<PrivacyBudget> b = (*sync_client)->ledger().Spent(analyst);
     if (!a.ok() || !b.ok() || a->epsilon != b->epsilon ||
         a->delta != b->delta) {
       ledgers_match = false;
@@ -236,8 +239,8 @@ int Run(int argc, char** argv) {
   const double p50_low_prio = Percentile50(prio_low);
   const double p50_high_fifo = Percentile50(fifo_high);
 
-  const double async_qps = async_wall > 0 ? sequence.size() / async_wall : 0;
-  const double sync_qps = sync_wall > 0 ? sequence.size() / sync_wall : 0;
+  const double async_qps = async_wall > 0 ? num_replayed / async_wall : 0;
+  const double sync_qps = sync_wall > 0 ? num_replayed / sync_wall : 0;
   std::printf(
       "client concurrency: %zu queries, %zu submitters, %zu pool threads\n"
       "  async submit->idle  %9.2f ms  (%.0f q/s)\n"
@@ -245,7 +248,7 @@ int Run(int argc, char** argv) {
       "  answers %s, ledgers %s\n"
       "  mixed burst p50: high-prio %.3f ms (fifo placement %.3f ms), "
       "low-prio %.3f ms\n",
-      sequence.size(), submitters, threads, async_wall * 1e3, async_qps,
+      num_replayed, submitters, threads, async_wall * 1e3, async_qps,
       sync_wall * 1e3, sync_qps,
       identical ? "bit-identical" : "DIVERGED (bug!)",
       ledgers_match ? "match" : "DIVERGED (bug!)", p50_high_prio * 1e3,
@@ -260,7 +263,7 @@ int Run(int argc, char** argv) {
   bench::BenchJson json("client_concurrency");
   json.Set("rows", rows);
   json.Set("providers", providers);
-  json.Set("queries", sequence.size());
+  json.Set("queries", num_replayed);
   json.Set("submitters", submitters);
   json.Set("threads", threads);
   json.Set("async_wall_seconds", async_wall);

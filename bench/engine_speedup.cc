@@ -1,5 +1,5 @@
 // Micro-bench for the parallel execution engine: the same query batch runs
-// through a single-threaded engine and a thread-pooled engine over the same
+// through a single-threaded client and a thread-pooled client over the same
 // federation, verifying bit-identical answers and reporting the wall-clock
 // speedup, per-query latency, and network traffic. Results also land in
 // BENCH_engine_speedup.json for the cross-PR perf trajectory.
@@ -24,10 +24,17 @@ struct RunStats {
   std::vector<double> estimates;
 };
 
-RunStats RunBatch(QueryEngine* engine, const std::vector<AnalystQuery>& batch) {
+RunStats RunBatch(FederationClient* client,
+                  const std::vector<RangeQuery>& workload) {
+  std::vector<QuerySpec> batch(workload.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i].analyst = Federation::kAnalyst;
+    batch[i].query = workload[i];
+  }
   RunStats stats;
   Stopwatch timer;
-  std::vector<BatchOutcome> outcomes = engine->ExecuteBatch(batch);
+  std::vector<QueryTicket> tickets = client->SubmitAll(std::move(batch));
+  std::vector<BatchOutcome> outcomes = WaitAll(tickets);
   stats.seconds = timer.ElapsedSeconds();
   for (const auto& out : outcomes) {
     if (!out.ok()) {
@@ -65,31 +72,23 @@ int Run(int argc, char** argv) {
                  workload.status().ToString().c_str());
     return 1;
   }
-  std::vector<AnalystQuery> batch;
-  for (const auto& q : *workload) batch.push_back({"bench", q});
-
-  auto make_engine = [&](size_t num_threads) {
-    QueryEngineOptions opts;
-    opts.protocol = protocol;
-    opts.protocol.total_xi = 1e18;
-    opts.protocol.total_psi = 1e9;
-    opts.protocol.network.latency_seconds = 1e-5;
-    opts.protocol.num_threads = num_threads;
-    opts.analysts = {{"bench", 1e18, 1e9}};
-    return QueryEngine::Create(fed->provider_ptrs(), opts);
+  auto make_client = [&](size_t num_threads) {
+    FederationConfig config = protocol;
+    config.num_threads = num_threads;
+    return MakeClient(fed->MakeEndpoints(), config);
   };
 
-  Result<std::unique_ptr<QueryEngine>> sequential = make_engine(1);
-  Result<std::unique_ptr<QueryEngine>> pooled = make_engine(threads);
+  Result<std::unique_ptr<FederationClient>> sequential = make_client(1);
+  Result<std::unique_ptr<FederationClient>> pooled = make_client(threads);
   if (!sequential.ok() || !pooled.ok()) {
-    std::fprintf(stderr, "engine creation failed\n");
+    std::fprintf(stderr, "client creation failed\n");
     return 1;
   }
 
-  // Pooled first, then sequential: both engines assign the same query-ids,
+  // Pooled first, then sequential: both clients assign the same query-ids,
   // so per-session RNG streams (and therefore answers) must coincide.
-  RunStats par = RunBatch(pooled->get(), batch);
-  RunStats seq = RunBatch(sequential->get(), batch);
+  RunStats par = RunBatch(pooled->get(), *workload);
+  RunStats seq = RunBatch(sequential->get(), *workload);
 
   bool identical = seq.estimates.size() == par.estimates.size();
   for (size_t i = 0; identical && i < seq.estimates.size(); ++i) {

@@ -48,10 +48,11 @@ int main(int argc, char** argv) {
     for (ReleaseMode mode : {ReleaseMode::kSmc, ReleaseMode::kLocalDp}) {
       FederationConfig config = protocol;
       config.mode = mode;
-      Result<QueryOrchestrator> orch = Orchestrate(fed.get(), config);
-      if (!orch.ok()) return 1;
+      Result<std::unique_ptr<FederationClient>> client =
+          MakeClient(fed->MakeEndpoints(), config);
+      if (!client.ok()) return 1;
 
-      Result<QueryResponse> exact = orch->ExecuteExact(q);
+      Result<QueryResponse> exact = Ask(client->get(), q, QueryKind::kExact);
       if (!exact.ok()) return 1;
 
       double noise_min = 1e300, noise_max = -1e300, speed_acc = 0.0;
@@ -62,7 +63,7 @@ int main(int argc, char** argv) {
         // and take deviation from the exact answer as the perturbation
         // envelope (sampling error + Laplace noise, exactly what the
         // analyst experiences).
-        Result<QueryResponse> resp = orch->Execute(q);
+        Result<QueryResponse> resp = Ask(client->get(), q);
         if (!resp.ok()) return 1;
         double noise = resp->estimate - exact->estimate;
         noise_min = std::min(noise_min, noise);

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/stopwatch.h"
 #include "obs/trace.h"
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
@@ -88,24 +87,30 @@ int Run(int argc, char** argv) {
     for (int rep = -1; rep < reps; ++rep) {
       // rep -1 is an untimed warmup (first-touch page faults, lazy
       // connection pools); its timing is discarded, its answers still
-      // checked. A fresh orchestrator per rep: fresh session ids and a
-      // fresh accountant, so reps are true repetitions of the same batch.
-      Result<QueryOrchestrator> orch = [&]() -> Result<QueryOrchestrator> {
-        if (!loopback) return bench::Orchestrate(fed.get(), config);
-        FEDAQP_ASSIGN_OR_RETURN(
-            std::vector<std::shared_ptr<ProviderEndpoint>> remote,
-            RemoteEndpoint::ConnectAll(host_ports));
-        FederationConfig remote_config = config;
-        remote_config.total_xi = 1e18;
-        remote_config.total_psi = 1e9;
-        remote_config.network.latency_seconds = 1e-5;
-        return QueryOrchestrator::CreateFromEndpoints(std::move(remote),
-                                                      remote_config);
-      }();
-      FEDAQP_RETURN_IF_ERROR(orch.status());
-      Stopwatch timer;
-      std::vector<BatchOutcome> outcomes = orch->ExecuteBatch(*workload);
-      const double wall = timer.ElapsedSeconds();
+      // checked. A fresh client per rep: fresh session ids and a fresh
+      // ledger, so reps are true repetitions of the same batch.
+      std::vector<std::shared_ptr<ProviderEndpoint>> endpoints;
+      if (loopback) {
+        FEDAQP_ASSIGN_OR_RETURN(endpoints,
+                                RemoteEndpoint::ConnectAll(host_ports));
+      } else {
+        endpoints = fed->MakeEndpoints();
+      }
+      FEDAQP_ASSIGN_OR_RETURN(std::unique_ptr<FederationClient> client,
+                              bench::MakeClient(std::move(endpoints), config));
+      // SubmitAll enqueues the workload under one lock, so it runs as one
+      // admission round: one ExecuteBatchSpecs call, timed by the
+      // orchestrator itself (WaitIdle makes its stats safe to read).
+      std::vector<QuerySpec> batch(workload->size());
+      for (size_t q = 0; q < batch.size(); ++q) {
+        batch[q].analyst = Federation::kAnalyst;
+        batch[q].query = (*workload)[q];
+      }
+      std::vector<QueryTicket> tickets = client->SubmitAll(std::move(batch));
+      std::vector<BatchOutcome> outcomes = WaitAll(tickets);
+      client->WaitIdle();
+      const BatchRunStats& stats = client->orchestrator().last_batch_stats();
+      const double wall = stats.wall_seconds;
       std::vector<double> estimates;
       for (const auto& out : outcomes) {
         FEDAQP_RETURN_IF_ERROR(out.status);
@@ -121,11 +126,10 @@ int Run(int argc, char** argv) {
           // Wall and critical path come from the same rep, so the two
           // columns stay comparable.
           result.wall_seconds = wall;
-          result.critical_path_seconds =
-              orch->last_batch_stats().critical_path_seconds;
+          result.critical_path_seconds = stats.critical_path_seconds;
         }
       }
-      result.num_tasks = orch->last_batch_stats().num_tasks;
+      result.num_tasks = stats.num_tasks;
     }
     return result;
   };

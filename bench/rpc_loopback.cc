@@ -47,10 +47,10 @@ int Run(int argc, char** argv) {
   }
 
   // ---- In-process run.
-  Result<QueryOrchestrator> local = bench::Orchestrate(fed.get(), protocol);
+  Result<std::unique_ptr<FederationClient>> local =
+      bench::MakeClient(fed->MakeEndpoints(), protocol);
   if (!local.ok()) {
-    std::fprintf(stderr, "orchestrator: %s\n",
-                 local.status().ToString().c_str());
+    std::fprintf(stderr, "client: %s\n", local.status().ToString().c_str());
     return 1;
   }
   std::vector<double> local_estimates;
@@ -58,7 +58,7 @@ int Run(int argc, char** argv) {
   uint64_t charged_messages = 0;
   Stopwatch local_timer;
   for (const RangeQuery& q : *workload) {
-    Result<QueryResponse> resp = local->Execute(q);
+    Result<QueryResponse> resp = bench::Ask(local->get(), q);
     if (!resp.ok()) {
       std::fprintf(stderr, "local query: %s\n",
                    resp.status().ToString().c_str());
@@ -94,22 +94,17 @@ int Run(int argc, char** argv) {
   uint64_t handshake_bytes = 0;
   for (auto* e : raw) handshake_bytes += e->bytes_sent() + e->bytes_received();
 
-  FederationConfig remote_protocol = protocol;
-  remote_protocol.total_xi = 1e18;
-  remote_protocol.total_psi = 1e9;
-  remote_protocol.network.latency_seconds = 1e-5;
-  Result<QueryOrchestrator> over_wire =
-      QueryOrchestrator::CreateFromEndpoints(std::move(remote).value(),
-                                             remote_protocol);
+  Result<std::unique_ptr<FederationClient>> over_wire =
+      bench::MakeClient(std::move(remote).value(), protocol);
   if (!over_wire.ok()) {
-    std::fprintf(stderr, "remote orchestrator: %s\n",
+    std::fprintf(stderr, "remote client: %s\n",
                  over_wire.status().ToString().c_str());
     return 1;
   }
   size_t identical = 0;
   Stopwatch wire_timer;
   for (size_t i = 0; i < workload->size(); ++i) {
-    Result<QueryResponse> resp = over_wire->Execute((*workload)[i]);
+    Result<QueryResponse> resp = bench::Ask(over_wire->get(), (*workload)[i]);
     if (!resp.ok()) {
       std::fprintf(stderr, "loopback query: %s\n",
                    resp.status().ToString().c_str());

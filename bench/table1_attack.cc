@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
   std::vector<EvalRow> eval =
       BuildEvalRows(*raw, 0, {1, 2, 3}, full ? 5000 : 2000);
 
-  FederationConfig base;
-  base.sampling_rate = 0.2;
+  FederationClient::Options base;
+  base.protocol.sampling_rate = 0.2;
 
   std::printf("# Table 1: NBC inference accuracy vs xi (psi = 1e-6)\n");
   std::printf("# |SA| = %lld classes -> random-guess floor = %.2f%%\n",
@@ -92,7 +92,13 @@ int main(int argc, char** argv) {
         attack.psi = 1e-6;
         attack.composition = comp.comp;
         attack.aggregation = agg;
-        Result<AttackResult> res = RunNbcAttack(ptrs, base, attack, eval);
+        // A fresh client per attack: its session ids (and so its noise)
+        // start over, and the attacker's grant is its own.
+        Result<std::unique_ptr<FederationClient>> client =
+            FederationClient::Create(ptrs, base);
+        if (!client.ok()) return 1;
+        Result<AttackResult> res =
+            RunNbcAttack(client->get(), "attacker", attack, eval);
         if (!res.ok()) {
           std::printf(" %8s", "err");
           continue;

@@ -48,8 +48,8 @@ int main() {
   std::printf("%-12s %-6s %8s %14s %12s\n", "composition", "agg", "xi",
               "eps/query", "accuracy");
 
-  FederationConfig base;
-  base.sampling_rate = 0.3;
+  FederationClient::Options base;
+  base.protocol.sampling_rate = 0.3;
 
   for (AttackComposition comp :
        {AttackComposition::kSequential, AttackComposition::kAdvanced,
@@ -66,7 +66,12 @@ int main() {
       attack.psi = 1e-6;
       attack.composition = comp;
       attack.aggregation = Aggregation::kCount;
-      Result<AttackResult> res = RunNbcAttack(ptrs, base, attack, eval);
+      // A fresh client per attack: the attacker's grant is its own.
+      Result<std::unique_ptr<FederationClient>> client =
+          FederationClient::Create(ptrs, base);
+      if (!client.ok()) return 1;
+      Result<AttackResult> res =
+          RunNbcAttack(client->get(), "attacker", attack, eval);
       if (!res.ok()) {
         std::printf("%-12s %-6s %8.0f  attack failed: %s\n", comp_name,
                     "COUNT", xi, res.status().ToString().c_str());

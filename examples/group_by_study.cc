@@ -39,13 +39,17 @@ int main() {
     providers.push_back(std::move(p).value());
   }
 
-  FederationConfig config;
-  config.per_query_budget = {1.0, 1e-3};
-  config.sampling_rate = 0.3;
-  config.total_xi = 50.0;
-  config.total_psi = 0.05;
-  Result<QueryOrchestrator> orch = QueryOrchestrator::Create(ptrs, config);
-  if (!orch.ok()) return 1;
+  // One analyst with a (50, 0.05) grant: the histogram buckets and the
+  // derived aggregates' sub-queries are all charged to it.
+  const char* kAnalyst = "retail";
+  FederationClient::Options opts;
+  opts.protocol.per_query_budget = {1.0, 1e-3};
+  opts.protocol.sampling_rate = 0.3;
+  opts.analysts = {{kAnalyst, 50.0, 0.05}};
+  Result<std::unique_ptr<FederationClient>> created =
+      FederationClient::Create(ptrs, opts);
+  if (!created.ok()) return 1;
+  FederationClient* client = created->get();
 
   // Private histogram: sales of popular categories, grouped by region.
   RangeQuery base = RangeQueryBuilder(Aggregation::kSum)
@@ -53,7 +57,7 @@ int main() {
                         .Build();
   GroupByOptions gb;
   gb.group_dim = 0;
-  Result<GroupByResult> hist = PrivateGroupBy(&orch.value(), base, gb);
+  Result<GroupByResult> hist = PrivateGroupBy(client, kAnalyst, base, gb);
   if (!hist.ok()) {
     std::fprintf(stderr, "group-by failed: %s\n",
                  hist.status().ToString().c_str());
@@ -87,8 +91,8 @@ int main() {
   RangeQuery range = RangeQueryBuilder(Aggregation::kSum)
                          .Where(2, 5, 25)
                          .Build();
-  Result<DerivedResult> avg = PrivateAverage(&orch.value(), range);
-  Result<DerivedResult> sd = PrivateStdDev(&orch.value(), range);
+  Result<DerivedResult> avg = PrivateAverage(client, kAnalyst, range);
+  Result<DerivedResult> sd = PrivateStdDev(client, kAnalyst, range);
   if (!avg.ok() || !sd.ok()) return 1;
   std::printf("== derived aggregates (Sec. 7) ==\n");
   std::printf("AVG(Measure)    = %8.3f   (spent eps=%.2f across 2 queries)\n",
@@ -96,9 +100,15 @@ int main() {
   std::printf("STDDEV(Measure) = %8.3f   (spent eps=%.2f across 3 queries)\n",
               sd->value, sd->spent.epsilon);
 
-  const PrivacyAccountant& acct = orch->accountant();
+  Result<PrivacyBudget> spent = client->ledger().Spent(kAnalyst);
+  Result<PrivacyBudget> total = client->ledger().Total(kAnalyst);
+  if (!spent.ok() || !total.ok()) return 1;
+  size_t charges = 0;
+  for (const auto& r : client->audit_log().ForAnalyst(kAnalyst)) {
+    if (r.kind == obs::BudgetAuditLog::Kind::kCharge) ++charges;
+  }
   std::printf("\nanalyst budget: spent eps %.1f of %.1f across %zu "
               "private queries\n",
-              acct.spent().epsilon, acct.total().epsilon, acct.num_charges());
+              spent->epsilon, total->epsilon, charges);
   return 0;
 }

@@ -94,8 +94,15 @@ int main() {
                 priv->approximated ? "(approximated)" : "(exact path)");
   }
 
-  const PrivacyAccountant& acct = hospitals.accountant();
+  const FederationClient& client = hospitals.client();
+  Result<PrivacyBudget> spent = client.ledger().Spent(Federation::kAnalyst);
+  Result<PrivacyBudget> total = client.ledger().Total(Federation::kAnalyst);
+  if (!spent.ok() || !total.ok()) return 1;
+  size_t admitted = 0;
+  for (const auto& r : client.audit_log().ForAnalyst(Federation::kAnalyst)) {
+    if (r.kind == obs::BudgetAuditLog::Kind::kCharge) ++admitted;
+  }
   std::printf("\nbudget: %zu studies admitted, eps spent %.2f/%.2f\n",
-              acct.num_charges(), acct.spent().epsilon, acct.total().epsilon);
+              admitted, spent->epsilon, total->epsilon);
   return 0;
 }

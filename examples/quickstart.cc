@@ -35,7 +35,7 @@ int main() {
   opts.n_min = 4;
   opts.protocol.per_query_budget = {1.0, 1e-3};
   opts.protocol.sampling_rate = 0.2;
-  opts.protocol.total_xi = 100.0;   // analyst grant
+  opts.protocol.total_xi = 100.0;   // Federation::kAnalyst's grant
   opts.protocol.total_psi = 0.1;
   Result<std::unique_ptr<Federation>> fed =
       Federation::Open(std::move(parts).value(), opts);
@@ -74,11 +74,20 @@ int main() {
                 priv->breakdown.TotalSeconds() * 1e3);
   }
 
-  // 4. Budget status.
-  const PrivacyAccountant& acct = (*fed)->accountant();
+  // 4. Budget status: every private answer was charged to the
+  //    federation's analyst on its client's ledger, and the audit log
+  //    records each charge.
+  const FederationClient& client = (*fed)->client();
+  Result<PrivacyBudget> spent = client.ledger().Spent(Federation::kAnalyst);
+  Result<PrivacyBudget> total = client.ledger().Total(Federation::kAnalyst);
+  if (!spent.ok() || !total.ok()) return 1;
+  size_t charges = 0;
+  for (const auto& r : client.audit_log().ForAnalyst(Federation::kAnalyst)) {
+    if (r.kind == obs::BudgetAuditLog::Kind::kCharge) ++charges;
+  }
   std::printf("\nprivacy: spent (eps=%.2f, delta=%.4f) of (xi=%.0f, psi=%.2f)"
               " across %zu queries\n",
-              acct.spent().epsilon, acct.spent().delta, acct.total().epsilon,
-              acct.total().delta, acct.num_charges());
+              spent->epsilon, spent->delta, total->epsilon, total->delta,
+              charges);
   return 0;
 }

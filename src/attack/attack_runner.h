@@ -2,12 +2,13 @@
 #define FEDAQP_ATTACK_ATTACK_RUNNER_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "attack/nbc.h"
 #include "common/result.h"
 #include "dp/budget.h"
-#include "federation/orchestrator.h"
+#include "exec/federation_client.h"
 #include "storage/table.h"
 
 namespace fedaqp {
@@ -59,12 +60,13 @@ std::vector<EvalRow> BuildEvalRows(const Table& table, size_t sa_dim,
                                    size_t max_rows);
 
 /// Mounts the NBC attack: derives the per-query budget from the chosen
-/// composition, issues the nQueries training queries through a fresh
-/// orchestrator over `providers` (configured like `base_config` but with
-/// the attacker's budget), trains the classifier on the noisy answers and
-/// measures its accuracy on `eval_rows`.
-Result<AttackResult> RunNbcAttack(const std::vector<DataProvider*>& providers,
-                                  const FederationConfig& base_config,
+/// composition, registers `analyst` on `client` with a grant that admits
+/// exactly the nQueries training queries, submits them (each carrying the
+/// per-query budget as its QuerySpec::budget), trains the classifier on
+/// the noisy answers and measures its accuracy on `eval_rows`. Fails if
+/// `analyst` is already registered.
+Result<AttackResult> RunNbcAttack(FederationClient* client,
+                                  const std::string& analyst,
                                   const AttackConfig& attack,
                                   const std::vector<EvalRow>& eval_rows);
 

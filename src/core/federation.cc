@@ -32,16 +32,21 @@ Result<std::unique_ptr<Federation>> Federation::Open(
     providers.push_back(std::move(provider));
   }
 
-  std::vector<DataProvider*> ptrs;
-  ptrs.reserve(providers.size());
-  for (auto& p : providers) ptrs.push_back(p.get());
-
   FederationConfig protocol = options.protocol;
   protocol.seed = seeder.NextU64();
-  FEDAQP_ASSIGN_OR_RETURN(QueryOrchestrator orchestrator,
-                          QueryOrchestrator::Create(ptrs, protocol));
-  return std::unique_ptr<Federation>(
-      new Federation(std::move(providers), std::move(orchestrator)));
+  return Finish(std::move(providers), protocol);
+}
+
+Result<std::unique_ptr<Federation>> Federation::Finish(
+    std::vector<std::unique_ptr<DataProvider>> providers,
+    FederationConfig protocol) {
+  std::unique_ptr<Federation> fed(new Federation(std::move(providers)));
+  FederationClient::Options opts;
+  opts.protocol = protocol;
+  opts.analysts = {{kAnalyst, protocol.total_xi, protocol.total_psi}};
+  FEDAQP_ASSIGN_OR_RETURN(fed->client_,
+                          FederationClient::Create(fed->provider_ptrs(), opts));
+  return fed;
 }
 
 Result<std::unique_ptr<Federation>> Federation::OpenMapped(
@@ -74,25 +79,27 @@ Result<std::unique_ptr<Federation>> Federation::OpenMapped(
     providers.push_back(std::move(provider));
   }
 
-  std::vector<DataProvider*> ptrs;
-  ptrs.reserve(providers.size());
-  for (auto& p : providers) ptrs.push_back(p.get());
-
   FederationConfig protocol = options.protocol;
   protocol.seed = seeder.NextU64();
-  FEDAQP_ASSIGN_OR_RETURN(QueryOrchestrator orchestrator,
-                          QueryOrchestrator::Create(ptrs, protocol));
-  return std::unique_ptr<Federation>(
-      new Federation(std::move(providers), std::move(orchestrator)));
+  return Finish(std::move(providers), protocol);
 }
 
 Result<QueryResponse> Federation::Query(const RangeQuery& query) {
-  return orchestrator_.Execute(query);
+  QuerySpec spec;
+  spec.analyst = kAnalyst;
+  spec.query = query;
+  return client_->Submit(std::move(spec)).Wait();
 }
 
 std::vector<BatchOutcome> Federation::QueryBatch(
     const std::vector<RangeQuery>& queries) {
-  return orchestrator_.ExecuteBatch(queries);
+  std::vector<QuerySpec> specs(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    specs[i].analyst = kAnalyst;
+    specs[i].query = queries[i];
+  }
+  std::vector<QueryTicket> tickets = client_->SubmitAll(std::move(specs));
+  return WaitAll(tickets);
 }
 
 std::vector<std::shared_ptr<ProviderEndpoint>> Federation::MakeEndpoints() {
@@ -122,15 +129,14 @@ Result<std::vector<std::unique_ptr<RpcProviderServer>>> Federation::Serve(
 }
 
 Result<QueryResponse> Federation::QueryExact(const RangeQuery& query) {
-  return orchestrator_.ExecuteExact(query);
+  QuerySpec spec;
+  spec.query = query;
+  spec.kind = QueryKind::kExact;
+  return client_->Submit(std::move(spec)).Wait();
 }
 
 const Schema& Federation::schema() const {
   return providers_[0]->store().schema();
-}
-
-const PrivacyAccountant& Federation::accountant() const {
-  return orchestrator_.accountant();
 }
 
 std::vector<DataProvider*> Federation::provider_ptrs() {

@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "exec/endpoint.h"
+#include "exec/federation_client.h"
 #include "federation/orchestrator.h"
 #include "federation/provider.h"
 #include "storage/table.h"
@@ -27,6 +28,11 @@ class RpcProviderServer;
 ///   auto q = RangeQueryBuilder(Aggregation::kCount).Where(0, 20, 40).Build();
 ///   auto resp = fed->Query(q);          // private approximate answer
 ///   auto truth = fed->QueryExact(q);    // non-private baseline
+///
+/// Every private query runs through the federation's FederationClient and
+/// is charged to one analyst, kAnalyst, whose grant is
+/// `protocol.total_xi/total_psi`. Derived queries (PrivateAverage, ...)
+/// take `&fed->client()` and kAnalyst, so they spend the same grant.
 class Federation;
 
 /// Options for Federation::Open.
@@ -49,6 +55,10 @@ struct FederationOptions {
 
 class Federation {
  public:
+  /// The analyst every Query/QueryBatch charges, registered on client()
+  /// with FederationOptions::protocol.total_xi/total_psi.
+  static constexpr const char* kAnalyst = "analyst";
+
   /// Builds one provider per partition (offline phase: clustering +
   /// Algorithm-1 metadata) and wires the online protocol around them.
   static Result<std::unique_ptr<Federation>> Open(
@@ -64,23 +74,25 @@ class Federation {
       const std::vector<std::string>& store_paths,
       const FederationOptions& options);
 
-  /// Executes the private approximate protocol; consumes privacy budget.
+  /// Executes the private approximate protocol for kAnalyst, charging
+  /// their grant (Submit + Wait on client()).
   Result<QueryResponse> Query(const RangeQuery& query);
 
-  /// Executes `queries` as one batch: each is admitted (validated, then
-  /// charged) in order against the shared accountant, and the admitted set
-  /// runs with provider work pipelined across the orchestrator's pool
+  /// Executes `queries` as one slice of the admission sequence: each is
+  /// admitted (validated, then charged to kAnalyst) in order, and the
+  /// admitted set runs with provider work pipelined across the pool
   /// (FederationOptions::protocol.num_threads). Outcomes align with
-  /// `queries`. For per-analyst grants, build a QueryEngine over
-  /// MakeEndpoints() instead.
+  /// `queries` (SubmitAll + WaitAll on client()).
   std::vector<BatchOutcome> QueryBatch(const std::vector<RangeQuery>& queries);
 
-  /// Plain-text exact execution (baseline; no privacy spent).
+  /// Plain-text exact execution (a kExact spec: baseline, no privacy
+  /// spent).
   Result<QueryResponse> QueryExact(const RangeQuery& query);
 
-  /// Message-interface views of this federation's providers, for wiring a
-  /// QueryEngine (or a custom orchestrator) over the same offline state.
-  /// The federation must outlive the returned endpoints.
+  /// Message-interface views of this federation's providers, for wiring
+  /// another FederationClient (other analysts, a shared ledger, a cache)
+  /// over the same offline state. The federation must outlive the
+  /// returned endpoints.
   std::vector<std::shared_ptr<ProviderEndpoint>> MakeEndpoints();
 
   /// Serves each provider over the wire protocol on base_port,
@@ -95,8 +107,10 @@ class Federation {
   /// The public schema shared by every provider.
   const Schema& schema() const;
 
-  /// Analyst budget status.
-  const PrivacyAccountant& accountant() const;
+  /// The session layer every Query/QueryBatch/QueryExact goes through.
+  /// Its ledger() and audit_log() hold kAnalyst's spend; register more
+  /// analysts on it to share this federation's providers.
+  FederationClient& client() { return *client_; }
 
   size_t num_providers() const { return providers_.size(); }
   DataProvider* provider(size_t i) { return providers_[i].get(); }
@@ -107,13 +121,17 @@ class Federation {
   size_t MetadataBytes() const;
 
  private:
-  Federation(std::vector<std::unique_ptr<DataProvider>> providers,
-             QueryOrchestrator orchestrator)
-      : providers_(std::move(providers)),
-        orchestrator_(std::move(orchestrator)) {}
+  explicit Federation(std::vector<std::unique_ptr<DataProvider>> providers)
+      : providers_(std::move(providers)) {}
+
+  /// Builds client_ over providers_ (shared tail of Open/OpenMapped).
+  static Result<std::unique_ptr<Federation>> Finish(
+      std::vector<std::unique_ptr<DataProvider>> providers,
+      FederationConfig protocol);
 
   std::vector<std::unique_ptr<DataProvider>> providers_;
-  QueryOrchestrator orchestrator_;
+  /// Declared after providers_ so it is destroyed (drained) first.
+  std::unique_ptr<FederationClient> client_;
 };
 
 }  // namespace fedaqp

@@ -17,10 +17,11 @@ namespace obs {
 class BudgetAuditLog;  // obs/audit_log.h
 }  // namespace obs
 
-/// Runtime privacy-budget enforcement (Sec. 5.4): the analyst is granted a
-/// total (xi, psi); each answered query charges its (eps, delta); once
-/// either component would be exceeded the charge is refused and the query
-/// must not be answered.
+/// Runtime privacy-budget enforcement (Sec. 5.4) for one grant: the
+/// analyst is granted a total (xi, psi); each answered query charges its
+/// (eps, delta); once either component would be exceeded the charge is
+/// refused and the query must not be answered. The building block of
+/// AnalystLedger, which holds one per analyst; nothing else charges one.
 class PrivacyAccountant {
  public:
   /// Creates an accountant with total budget (xi, psi).
@@ -67,11 +68,14 @@ class PrivacyAccountant {
   size_t num_cache_served_ = 0;
 };
 
-/// Multi-analyst budget enforcement for the session layer (QueryEngine):
-/// each named analyst holds an independent (xi, psi) grant tracked by its
-/// own PrivacyAccountant. Unlike PrivacyAccountant this class is
-/// thread-safe — concurrent batch execution may consult it from worker
-/// threads — and non-movable (it is shared by pointer).
+/// Multi-analyst budget enforcement for the session layer
+/// (FederationClient, through serve::LocalLedgerBackend, or the shared
+/// serve::LedgerService): each named analyst holds an independent
+/// (xi, psi) grant tracked by its own PrivacyAccountant. Every private
+/// query the federation answers is charged to one of these. Unlike
+/// PrivacyAccountant this class is thread-safe — concurrent batch
+/// execution may consult it from worker threads — and non-movable (it is
+/// shared by pointer).
 class AnalystLedger {
  public:
   AnalystLedger() = default;

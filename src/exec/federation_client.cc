@@ -206,6 +206,19 @@ std::vector<ProgressiveRound> QueryTicket::Refinements() const {
   return state_->rounds;
 }
 
+std::vector<BatchOutcome> WaitAll(std::vector<QueryTicket>& tickets) {
+  std::vector<BatchOutcome> outcomes(tickets.size());
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    Result<QueryResponse> result = tickets[i].Wait();
+    if (result.ok()) {
+      outcomes[i].response = std::move(result).value();
+    } else {
+      outcomes[i].status = result.status();
+    }
+  }
+  return outcomes;
+}
+
 // ----------------------------------------------------------- FederationClient
 
 Result<std::unique_ptr<FederationClient>> FederationClient::CreateImpl(
@@ -308,7 +321,7 @@ QueryTicket FederationClient::EnqueueLocked(QuerySpec spec) {
     ticket->stats_sealed = true;
     ticket->status = Status::Unavailable("client: shutting down");
   } else {
-    pending_.push_back(Pending{ticket, nullptr, nullptr});
+    pending_.push_back(ticket);
   }
   return QueryTicket(ticket);
 }
@@ -330,19 +343,6 @@ std::vector<QueryTicket> FederationClient::SubmitAll(
   }
   cv_.notify_one();
   return tickets;
-}
-
-Status FederationClient::RunJob(std::function<void(QueryOrchestrator&)> job) {
-  auto done = std::make_shared<TicketState>();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return Status::Unavailable("client: shutting down");
-    pending_.push_back(Pending{nullptr, std::move(job), done});
-    cv_.notify_one();
-  }
-  std::unique_lock<std::mutex> lock(done->m);
-  done->cv.wait(lock, [&] { return done->done; });
-  return done->status;
 }
 
 void FederationClient::Pause() {
@@ -396,7 +396,7 @@ Result<BudgetPlanner::WorkloadPlan> FederationClient::PlanWorkload(
 
 void FederationClient::AdmissionLoop() {
   for (;;) {
-    std::vector<Pending> round;
+    std::vector<std::shared_ptr<TicketState>> round;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       busy_ = false;
@@ -424,49 +424,31 @@ void FederationClient::AdmissionLoop() {
       busy_ = true;
     }
     // Process the round in arrival order, batching contiguous
-    // graph-runnable specs; progressive queries and jobs act as sequence
-    // points (the admission — and therefore charge — order is preserved
+    // graph-runnable specs; progressive queries act as sequence points
+    // (the admission — and therefore charge — order is preserved
     // exactly).
     std::vector<std::shared_ptr<TicketState>> group;
-    for (Pending& item : round) {
-      if (item.job) {
+    for (std::shared_ptr<TicketState>& ticket : round) {
+      if (ticket->spec.kind == QueryKind::kProgressive) {
         RunGroup(group);
         group.clear();
-        Status status = Status::OK();
-        try {
-          item.job(orchestrator_);
-        } catch (const std::exception& ex) {
-          status = Status::Internal(std::string("client job threw: ") +
-                                    ex.what());
-        } catch (...) {
-          status = Status::Internal("client job threw");
-        }
-        std::lock_guard<std::mutex> lock(item.job_done->m);
-        item.job_done->status = status;
-        item.job_done->done = true;
-        item.job_done->cv.notify_all();
+        RunProgressive(ticket);
         continue;
       }
-      if (item.ticket->spec.kind == QueryKind::kProgressive) {
-        RunGroup(group);
-        group.clear();
-        RunProgressive(item.ticket);
-        continue;
-      }
-      group.push_back(std::move(item.ticket));
+      group.push_back(std::move(ticket));
     }
     RunGroup(group);
   }
 }
 
-void FederationClient::SelectFairLocked(size_t take,
-                                        std::vector<Pending>* round) {
-  // Jobs and progressive specs are sequence barriers (RunGroup splits on
-  // them); fairness reorders only within the longest all-query prefix of
-  // the backlog, so nothing ever crosses a barrier.
+void FederationClient::SelectFairLocked(
+    size_t take, std::vector<std::shared_ptr<TicketState>>* round) {
+  // Progressive specs are sequence barriers (RunGroup splits on them);
+  // fairness reorders only within the longest batchable prefix of the
+  // backlog, so nothing ever crosses a barrier.
   size_t prefix = 0;
-  while (prefix < pending_.size() && pending_[prefix].ticket != nullptr &&
-         pending_[prefix].ticket->spec.kind != QueryKind::kProgressive) {
+  while (prefix < pending_.size() &&
+         pending_[prefix]->spec.kind != QueryKind::kProgressive) {
     ++prefix;
   }
   if (prefix == 0) {
@@ -481,9 +463,9 @@ void FederationClient::SelectFairLocked(size_t take,
   // entries behind a barrier wait until the barrier clears.
   std::map<uint64_t, size_t> position;
   for (size_t i = 0; i < prefix; ++i) {
-    const uint64_t seq = pending_[i].ticket->seq;
+    const uint64_t seq = pending_[i]->seq;
     if (seq > fair_enqueued_up_to_) {
-      fair_queue_.Push(seq, pending_[i].ticket->spec.analyst);
+      fair_queue_.Push(seq, pending_[i]->spec.analyst);
       fair_enqueued_up_to_ = seq;
     }
     position[seq] = i;
@@ -498,7 +480,7 @@ void FederationClient::SelectFairLocked(size_t take,
     round->push_back(std::move(pending_[i]));
   }
   // Unselected entries keep their arrival positions for the next round.
-  std::deque<Pending> rest;
+  std::deque<std::shared_ptr<TicketState>> rest;
   for (size_t i = 0; i < prefix; ++i) {
     if (!taken[i]) rest.push_back(std::move(pending_[i]));
   }

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -208,9 +207,14 @@ class QueryTicket {
 /// with the same admission sequence produce bit-identical answers and
 /// ledgers regardless of submitter threading, pool size, scheduler,
 /// priority mix, or how the sequence happened to split into admission
-/// rounds — including the fully synchronous equivalent
-/// (QueryEngine::ExecuteBatch of the same sequence). Priorities and
-/// deadlines reorder *scheduling* within a round, never admission.
+/// rounds — including the fully synchronous equivalent (SubmitAll of the
+/// same sequence followed by WaitAll). Priorities and deadlines reorder
+/// *scheduling* within a round, never admission.
+///
+/// The client is the federation's one admission path: every private
+/// query — Federation::Query, the derived aggregates, RunWorkload, the
+/// attack harness, the shell — is charged here against a LedgerBackend,
+/// so one analyst's (xi, psi) grant covers everything they ask.
 ///
 /// Cancellation refunds the unspent budget shares per the paper's
 /// composition accounting (see QueryTicket::Cancel). Destruction drains:
@@ -289,16 +293,9 @@ class FederationClient {
   QueryTicket Submit(QuerySpec spec);
 
   /// Atomically enqueues several specs with contiguous arrival sequence
-  /// numbers — the multi-query submission primitive the synchronous shim
-  /// (QueryEngine::ExecuteBatch) is built on.
+  /// numbers: the batch becomes one slice of the admission sequence.
+  /// Pair with WaitAll for a synchronous batch.
   std::vector<QueryTicket> SubmitAll(std::vector<QuerySpec> specs);
-
-  /// Runs `job` on the admission thread, serialized into the arrival
-  /// sequence like a query (everything submitted before it completes
-  /// first). The one sanctioned way to touch the orchestrator — which is
-  /// not thread-safe — while the client owns it; used by derived
-  /// workloads like the shell's group-by. Blocks until the job ran.
-  Status RunJob(std::function<void(QueryOrchestrator&)> job);
 
   /// Grants a (new) analyst a total (xi, psi). Thread-safe.
   Status RegisterAnalyst(const std::string& analyst, double xi, double psi);
@@ -341,8 +338,8 @@ class FederationClient {
   /// (see BudgetAuditLog). The shell's `audit` verb reads this.
   const obs::BudgetAuditLog& audit_log() const { return audit_log_; }
   /// Read-only view of the owned orchestrator. Only safe to *read*
-  /// mutable state (accountant, last_batch_stats) while the client is
-  /// idle; immutable state (config, schema) is always safe.
+  /// mutable state (last_batch_stats) while the client is idle; immutable
+  /// state (config, schema) is always safe.
   const QueryOrchestrator& orchestrator() const { return orchestrator_; }
   const Schema& schema() const { return orchestrator_.schema(); }
   size_t num_providers() const { return orchestrator_.num_providers(); }
@@ -350,13 +347,6 @@ class FederationClient {
   uint64_t num_batches() const;
 
  private:
-  /// One admission-queue entry: a submitted query or a serialized job.
-  struct Pending {
-    std::shared_ptr<internal::TicketState> ticket;
-    std::function<void(QueryOrchestrator&)> job;
-    std::shared_ptr<internal::TicketState> job_done;
-  };
-
   FederationClient(QueryOrchestrator orchestrator, Options options,
                    std::vector<DataProvider*> providers);
 
@@ -371,11 +361,12 @@ class FederationClient {
   QueryTicket EnqueueLocked(QuerySpec spec);
 
   void AdmissionLoop();
-  /// Fair-admission round selection: DWRR over the longest all-query
-  /// prefix of pending_ (jobs/progressive specs stay FIFO barriers).
-  /// Moves up to `take` entries into `round`; unselected entries keep
-  /// their arrival positions. Caller holds mutex_.
-  void SelectFairLocked(size_t take, std::vector<Pending>* round);
+  /// Fair-admission round selection: DWRR over the longest batchable
+  /// prefix of pending_ (progressive specs stay FIFO barriers). Moves up
+  /// to `take` entries into `round`; unselected entries keep their
+  /// arrival positions. Caller holds mutex_.
+  void SelectFairLocked(
+      size_t take, std::vector<std::shared_ptr<internal::TicketState>>* round);
   /// Admits and executes one contiguous group of batchable specs.
   void RunGroup(std::vector<std::shared_ptr<internal::TicketState>>& group);
   void RunProgressive(const std::shared_ptr<internal::TicketState>& ticket);
@@ -421,7 +412,7 @@ class FederationClient {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::condition_variable idle_cv_;
-  std::deque<Pending> pending_;
+  std::deque<std::shared_ptr<internal::TicketState>> pending_;
   /// Persistent DWRR state (Options::fair_admission): deficits and ring
   /// rotation carry across admission rounds, so a heavy backlog cannot
   /// re-win the rotation every round — the starvation bound holds even
@@ -430,7 +421,7 @@ class FederationClient {
   /// its arrival). Guarded by mutex_.
   serve::DeficitFairQueue fair_queue_;
   /// Highest seq already pushed into fair_queue_ (entries behind a
-  /// pending job/progressive barrier are pushed only once the barrier
+  /// pending progressive barrier are pushed only once the barrier
   /// clears). Guarded by mutex_.
   uint64_t fair_enqueued_up_to_ = 0;
   /// Seqs in executed admission order (see admission_order()).
@@ -442,6 +433,10 @@ class FederationClient {
   bool busy_ = false;
   std::thread admission_;
 };
+
+/// Waits for every ticket, in order, and packages each outcome: the
+/// synchronous half of SubmitAll. Outcomes align with `tickets`.
+std::vector<BatchOutcome> WaitAll(std::vector<QueryTicket>& tickets);
 
 }  // namespace fedaqp
 

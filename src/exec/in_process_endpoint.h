@@ -11,8 +11,8 @@ namespace fedaqp {
 
 /// ProviderEndpoint adapter over an in-process DataProvider. A mutex
 /// serializes every call: the underlying provider mutates its private RNG
-/// stream and is not itself thread-safe, while endpoints may be shared
-/// between an orchestrator and a QueryEngine running on a pool.
+/// stream and is not itself thread-safe, while the orchestrator's pool
+/// calls an endpoint from many workers.
 class InProcessEndpoint : public ProviderEndpoint {
  public:
   /// Wraps `provider` (not owned; must outlive the endpoint).

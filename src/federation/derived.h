@@ -5,15 +5,16 @@
 #include <vector>
 
 #include "common/result.h"
-#include "federation/orchestrator.h"
+#include "exec/federation_client.h"
 #include "storage/range_query.h"
 
 namespace fedaqp {
 
 /// Derived aggregates (paper Sec. 7): AVG, VARIANCE and STDDEV over the
 /// Measure column are obtained from private SUM and COUNT answers through
-/// sequential composition — each underlying private query consumes its own
-/// (eps, delta) from the analyst grant, and the combination is
+/// sequential composition — each underlying private query is submitted to
+/// the FederationClient on behalf of `analyst` and consumes its own
+/// (eps, delta) from that analyst's grant, and the combination is
 /// post-processing (Thm 3.3), so no further budget is needed.
 ///
 /// VARIANCE additionally needs SUM(Measure^2); the federation exposes the
@@ -33,16 +34,19 @@ struct DerivedResult {
 /// AVG(Measure) over the range: private SUM / private COUNT. Two queries'
 /// budget. The ratio is clamped to zero when the noisy count is
 /// non-positive (an attacker-visible but utility-preserving floor).
-Result<DerivedResult> PrivateAverage(QueryOrchestrator* orchestrator,
+Result<DerivedResult> PrivateAverage(FederationClient* client,
+                                     const std::string& analyst,
                                      const RangeQuery& range);
 
 /// VAR(Measure) over the range via E[X^2] - E[X]^2 from three private
 /// queries (SUM, COUNT, SUM of squares). Clamped at zero.
-Result<DerivedResult> PrivateVariance(QueryOrchestrator* orchestrator,
+Result<DerivedResult> PrivateVariance(FederationClient* client,
+                                      const std::string& analyst,
                                       const RangeQuery& range);
 
 /// STDDEV(Measure): sqrt of the clamped variance (post-processing).
-Result<DerivedResult> PrivateStdDev(QueryOrchestrator* orchestrator,
+Result<DerivedResult> PrivateStdDev(FederationClient* client,
+                                    const std::string& analyst,
                                     const RangeQuery& range);
 
 /// One bucket of a private GROUP-BY (paper Sec. 7 future work): the
@@ -76,10 +80,11 @@ struct GroupByOptions {
 /// group_dim = v, executed through the full private protocol. Buckets
 /// touch disjoint rows, so their releases compose in PARALLEL: the total
 /// cost of the group-by is one per-query budget, not |domain| of them.
-/// The orchestrator is charged per bucket (its accountant is sequential),
-/// so callers should size the analyst grant accordingly; the true
+/// The analyst's ledger is charged per bucket (it composes sequentially),
+/// so callers should size the grant accordingly; the true
 /// parallel-composition cost is reported in GroupByResult::spent.
-Result<GroupByResult> PrivateGroupBy(QueryOrchestrator* orchestrator,
+Result<GroupByResult> PrivateGroupBy(FederationClient* client,
+                                     const std::string& analyst,
                                      const RangeQuery& base_query,
                                      const GroupByOptions& options);
 

@@ -8,7 +8,6 @@
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "exec/in_process_endpoint.h"
 #include "exec/task_graph.h"
 #include "rpc/wire.h"
 
@@ -236,10 +235,9 @@ void RunPhase2(const BatchContext& ctx, QueryState& st, size_t e) {
 }
 
 /// Exact-spec step 7: scan gather, plain-text sum, response finalization.
-/// Mirrors the accounting of the historical ExecuteExact loop: provider
-/// seconds are the max across endpoints, and the only wire traffic is the
-/// scan request broadcast (charged at admission) plus one framed scan
-/// reply per provider.
+/// Provider seconds are the max across endpoints, and the only wire
+/// traffic is the scan request broadcast (charged at admission) plus one
+/// framed scan reply per provider.
 void RunExactCombine(const BatchContext& ctx, QueryState& st) {
   const size_t num_endpoints = ctx.num_endpoints();
   double provider_max = 0.0;
@@ -478,8 +476,7 @@ QueryOrchestrator::QueryOrchestrator(
     const FederationConfig& config)
     : endpoints_(std::move(endpoints)),
       config_(config),
-      aggregator_(config.seed),
-      accountant_(config.total_xi, config.total_psi) {
+      aggregator_(config.seed) {
   if (config_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
   }
@@ -495,13 +492,6 @@ QueryOrchestrator::~QueryOrchestrator() {
   for (const auto& endpoint : endpoints_) {
     endpoint->ConfigureScanSharding(nullptr, config_.num_scan_shards);
   }
-}
-
-Result<QueryOrchestrator> QueryOrchestrator::Create(
-    std::vector<DataProvider*> providers, const FederationConfig& config) {
-  FEDAQP_ASSIGN_OR_RETURN(std::vector<std::shared_ptr<ProviderEndpoint>> endpoints,
-                          MakeInProcessEndpoints(providers));
-  return CreateFromEndpoints(std::move(endpoints), config);
 }
 
 Result<QueryOrchestrator> QueryOrchestrator::CreateFromEndpoints(
@@ -535,71 +525,6 @@ Result<QueryOrchestrator> QueryOrchestrator::CreateFromEndpoints(
   return QueryOrchestrator(std::move(endpoints), config);
 }
 
-Result<QueryResponse> QueryOrchestrator::Execute(const RangeQuery& query) {
-  // Sec. 5.4: every answered query charges its full (eps, delta) against
-  // the analyst's (xi, psi) grant, refused once exhausted; the shared
-  // admission driver validates first so malformed input never consumes
-  // budget.
-  std::vector<BatchOutcome> outcomes = ExecuteBatch({query});
-  if (!outcomes[0].status.ok()) return outcomes[0].status;
-  return std::move(outcomes[0].response);
-}
-
-std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatch(
-    const std::vector<RangeQuery>& queries) {
-  return ExecuteBatchWithAdmission(
-      queries, nullptr,
-      [this](size_t) { return accountant_.Charge(config_.per_query_budget); });
-}
-
-std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchWithAdmission(
-    const std::vector<RangeQuery>& queries,
-    const std::function<Status(size_t)>& precheck,
-    const std::function<Status(size_t)>& charge) {
-  // Admission in submission order: validation before charging, so a
-  // malformed query never consumes budget, and a refused charge never
-  // reaches the providers.
-  std::vector<BatchOutcome> outcomes(queries.size());
-  std::vector<size_t> admitted;
-  std::vector<RangeQuery> to_run;
-  admitted.reserve(queries.size());
-  to_run.reserve(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    if (precheck) {
-      Status pre = precheck(q);
-      if (!pre.ok()) {
-        outcomes[q].status = pre;
-        continue;
-      }
-    }
-    Status valid = queries[q].Validate(schema());
-    if (!valid.ok()) {
-      outcomes[q].status = valid;
-      continue;
-    }
-    Status charged = charge(q);
-    if (!charged.ok()) {
-      outcomes[q].status = charged;
-      continue;
-    }
-    admitted.push_back(q);
-    to_run.push_back(queries[q]);
-  }
-
-  std::vector<BatchOutcome> ran = ExecuteBatchUncharged(to_run);
-  for (size_t i = 0; i < admitted.size(); ++i) {
-    outcomes[admitted[i]] = std::move(ran[i]);
-  }
-  return outcomes;
-}
-
-std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchUncharged(
-    const std::vector<RangeQuery>& queries) {
-  std::vector<QueryExecSpec> specs(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) specs[q].query = queries[q];
-  return ExecuteBatchSpecs(specs);
-}
-
 std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchSpecs(
     const std::vector<QueryExecSpec>& specs) {
   const size_t num_endpoints = endpoints_.size();
@@ -613,11 +538,10 @@ std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchSpecs(
 
   // Admission (coordinator, in submission order — deterministic). The
   // re-validation is defense-in-depth for direct callers; queries routed
-  // through ExecuteBatchWithAdmission or the FederationClient arrive
-  // already validated. Session ids come from the submission sequence
-  // alone (exact specs draw from their own tagged namespace), so the
-  // same admission sequence yields the same noise streams regardless of
-  // how it was split into batches.
+  // through the FederationClient arrive already validated. Session ids
+  // come from the submission sequence alone (exact specs draw from their
+  // own tagged namespace), so the same admission sequence yields the same
+  // noise streams regardless of how it was split into batches.
   std::vector<QueryState> states(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
     QueryState& st = states[q];
@@ -641,7 +565,6 @@ std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchSpecs(
       // Nothing is scheduled and nothing is charged to the network.
       st.reserved = true;
       st.id = next_query_id_++;
-      accountant_.RecordSaving(st.budget);
       continue;
     }
     st.active = true;
@@ -699,16 +622,6 @@ std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchSpecs(
     if (st.status.ok()) outcomes[q].response = std::move(st.response);
   }
   return outcomes;
-}
-
-Result<QueryResponse> QueryOrchestrator::ExecuteExact(
-    const RangeQuery& query) {
-  std::vector<QueryExecSpec> specs(1);
-  specs[0].query = query;
-  specs[0].exact = true;
-  std::vector<BatchOutcome> outcomes = ExecuteBatchSpecs(specs);
-  if (!outcomes[0].status.ok()) return outcomes[0].status;
-  return std::move(outcomes[0].response);
 }
 
 }  // namespace fedaqp

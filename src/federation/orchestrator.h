@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "dp/accountant.h"
 #include "dp/budget.h"
 #include "exec/cancel.h"
 #include "exec/endpoint.h"
@@ -30,7 +29,8 @@ enum class ReleaseMode {
   kSmc = 1,
 };
 
-/// How ExecuteBatch schedules the protocol's provider/coordinator steps.
+/// How ExecuteBatchSpecs schedules the protocol's provider/coordinator
+/// steps.
 enum class BatchScheduler {
   /// Dependency-tracked (query, provider, phase, shard) task graph
   /// (exec/task_graph.h): barrier-free — query q+1's cover tasks run
@@ -53,7 +53,10 @@ struct FederationConfig {
   /// Fraction of the global covering set to sample, sr in (0,1).
   double sampling_rate = 0.1;
   ReleaseMode mode = ReleaseMode::kLocalDp;
-  /// Total analyst budget (xi, psi) enforced across queries.
+  /// The (xi, psi) grant Federation registers for Federation::kAnalyst.
+  /// Only Federation reads it: a FederationClient takes its grants from
+  /// Options::analysts (and RegisterAnalyst), and the orchestrator
+  /// charges nothing.
   double total_xi = 100.0;
   double total_psi = 1.0;
   NetworkOptions network;
@@ -122,7 +125,7 @@ struct QueryResponse {
   std::vector<size_t> allocation;
 };
 
-/// Wall-clock profile of the most recent ExecuteBatch* call, for benches
+/// Wall-clock profile of the most recent ExecuteBatchSpecs call, for benches
 /// comparing schedulers. `critical_path_seconds` is the longest
 /// dependency chain weighted by measured per-task seconds — the latency
 /// floor no parallelism can beat; under the barrier scheduler (which has
@@ -162,10 +165,11 @@ struct BatchOutcome {
 /// optional per-query completion callback.
 struct QueryExecSpec {
   RangeQuery query;
-  /// Plain-text exact federated execution (the ExecuteExact baseline)
-  /// instead of the private protocol: full scans + result sharing, no
-  /// sessions, no budget — scheduled as (scan per provider) -> combine
-  /// graph nodes, so exact and approximate queries share one scheduler.
+  /// Plain-text exact federated execution (the non-private baseline for
+  /// relative error and Speed-UP) instead of the private protocol: full
+  /// scans + result sharing, no sessions, no budget — scheduled as (scan
+  /// per provider) -> combine graph nodes, so exact and approximate
+  /// queries share one scheduler.
   bool exact = false;
   /// Per-query privacy budget override (the budget planner's knob):
   /// epsilon > 0 replaces FederationConfig::per_query_budget for this
@@ -199,26 +203,25 @@ struct QueryExecSpec {
 };
 
 /// Drives the full 7-step online protocol of Fig. 3 over a set of provider
-/// endpoints, charging the analyst's privacy budget per query and the
-/// simulated network per message. Batch execution builds a (query,
-/// provider, phase, shard) task graph drained by a fixed-size thread pool
-/// when `FederationConfig::num_threads` > 1 (`scheduler` selects the
-/// legacy phase-barrier path instead; answers are identical either way).
+/// endpoints, charging the simulated network per message. Batch execution
+/// builds a (query, provider, phase, shard) task graph drained by a
+/// fixed-size thread pool when `FederationConfig::num_threads` > 1
+/// (`scheduler` selects the legacy phase-barrier path instead; answers are
+/// identical either way).
+///
+/// The orchestrator charges no privacy budget: admission — identity,
+/// validation, then the charge against the analyst's LedgerBackend — is
+/// FederationClient's, and every private query goes through it.
 ///
 /// Concurrency: one orchestrator parallelizes *across providers* but its
-/// public methods are not themselves thread-safe; callers (QueryEngine)
-/// issue queries from a single coordinating thread.
+/// public methods are not themselves thread-safe; the owning
+/// FederationClient calls them from its single admission thread.
 class QueryOrchestrator {
  public:
-  /// In-process convenience: wraps each DataProvider in an
-  /// InProcessEndpoint. Providers must all use the same schema and cluster
-  /// capacity (the paper's shared-S requirement); validated here.
-  static Result<QueryOrchestrator> Create(std::vector<DataProvider*> providers,
-                                          const FederationConfig& config);
-
-  /// Transport-agnostic construction from endpoints (same validation).
-  /// Named distinctly so brace-initialized provider lists at existing call
-  /// sites don't become ambiguous.
+  /// Builds the orchestrator over transport-agnostic endpoints. Providers
+  /// must all use the same schema and cluster capacity (the paper's
+  /// shared-S requirement); validated here, along with the sampling rate,
+  /// per-query budget and split.
   static Result<QueryOrchestrator> CreateFromEndpoints(
       std::vector<std::shared_ptr<ProviderEndpoint>> endpoints,
       const FederationConfig& config);
@@ -233,60 +236,24 @@ class QueryOrchestrator {
   QueryOrchestrator(QueryOrchestrator&&) = default;
   QueryOrchestrator& operator=(QueryOrchestrator&&) = delete;
 
-  /// Executes the private approximate protocol for `query`.
-  Result<QueryResponse> Execute(const RangeQuery& query);
-
-  /// Batch variant of Execute: validates and charges each query in
-  /// submission order against this orchestrator's own accountant (refused
-  /// queries get a per-outcome status), then runs the admitted ones with
-  /// providers pipelined across the pool.
-  std::vector<BatchOutcome> ExecuteBatch(const std::vector<RangeQuery>& queries);
-
-  /// Shared admission driver used by ExecuteBatch and the session layer.
-  /// Per query, in submission order: `precheck(i)` (identity refusals —
-  /// run before validation so unknown callers learn nothing about the
-  /// schema; pass nullptr to skip), then schema validation, then
-  /// `charge(i)` (budget; only reached by valid queries). Refused entries
-  /// carry their status; the admitted remainder runs as one batch, with
-  /// outcomes scattered back positionally.
-  std::vector<BatchOutcome> ExecuteBatchWithAdmission(
-      const std::vector<RangeQuery>& queries,
-      const std::function<Status(size_t)>& precheck,
-      const std::function<Status(size_t)>& charge);
-
-  /// Executes `queries` as one batch, overlapping different queries'
+  /// Executes `specs` as one batch, overlapping different queries'
   /// provider work across the pool (endpoint i can be on query q+1's
-  /// cover while endpoint j still runs query q's estimate — under the
+  /// Open while endpoint j still runs query q's estimate — under the
   /// task-graph scheduler there is no barrier between phases at all).
-  /// Does NOT charge the orchestrator's own accountant — the session
-  /// layer (QueryEngine) performs per-analyst admission before calling
-  /// this. Outcomes are positionally aligned with `queries`.
-  std::vector<BatchOutcome> ExecuteBatchUncharged(
-      const std::vector<RangeQuery>& queries);
-
-  /// Spec-level batch execution: the full surface the async session layer
-  /// drives. Like ExecuteBatchUncharged (no orchestrator-side budget
-  /// charging; the caller admits), but each entry carries its own
+  /// Charges no budget (the caller admits); each entry carries its own
   /// exact/approximate flavor, scheduling urgency, cancellation token,
-  /// and completion callback. Each provider's estimate call ends its
-  /// session, so a successful query needs no cleanup round; a query that
-  /// fails or is cancelled after its summary ends its open sessions with
-  /// EndQuery from the same estimate step, under either scheduler.
+  /// and completion callback. Every spec is re-validated against the
+  /// schema before it gets a session id (defence in depth for direct
+  /// callers). Each provider's estimate call ends its session, so a
+  /// successful query needs no cleanup round; a query that fails or is
+  /// cancelled after its summary ends its open sessions with EndQuery
+  /// from the same estimate step, under either scheduler.
   /// Outcomes are positionally aligned with `specs`; answers are
   /// bit-identical across schedulers, pool sizes, and batch splits for
   /// the same admission sequence.
   std::vector<BatchOutcome> ExecuteBatchSpecs(
       const std::vector<QueryExecSpec>& specs);
 
-  /// Plain-text exact federated execution: full scans + result sharing.
-  /// The baseline both for accuracy (relative error) and for the paper's
-  /// Speed-UP metric. Does not consume privacy budget (it is the
-  /// non-private comparator). Runs on the configured batch scheduler —
-  /// under the task graph, exact scans are endpoint-bound graph nodes
-  /// exactly like the private phases.
-  Result<QueryResponse> ExecuteExact(const RangeQuery& query);
-
-  const PrivacyAccountant& accountant() const { return accountant_; }
   const FederationConfig& config() const { return config_; }
   /// Scheduling profile of the most recent batch (see BatchRunStats).
   const BatchRunStats& last_batch_stats() const { return last_batch_stats_; }
@@ -301,7 +268,6 @@ class QueryOrchestrator {
   std::vector<std::shared_ptr<ProviderEndpoint>> endpoints_;
   FederationConfig config_;
   Aggregator aggregator_;
-  PrivacyAccountant accountant_;
   /// Lazily absent when num_threads <= 1 (ParallelFor then runs inline).
   std::unique_ptr<ThreadPool> pool_;
   /// Monotonic query-session ids handed to endpoints.

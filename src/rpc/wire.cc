@@ -135,29 +135,6 @@ Result<ProviderWorkStats> DecodeWorkStats(ByteReader* r) {
   return v;
 }
 
-void EncodeSchema(const Schema& v, ByteWriter* w) {
-  w->PutU32(static_cast<uint32_t>(v.num_dims()));
-  for (const Dimension& d : v.dims()) {
-    w->PutString(d.name);
-    w->PutI64(d.domain_size);
-  }
-}
-
-Result<Schema> DecodeSchema(ByteReader* r) {
-  FEDAQP_ASSIGN_OR_RETURN(uint32_t n, r->GetU32());
-  // Each dimension is at least a u32 name length + an i64 domain.
-  FEDAQP_RETURN_IF_ERROR(CheckCount(n, 12, *r));
-  Schema schema;
-  for (uint32_t i = 0; i < n; ++i) {
-    FEDAQP_ASSIGN_OR_RETURN(std::string name, r->GetString());
-    FEDAQP_ASSIGN_OR_RETURN(int64_t domain, r->GetI64());
-    // AddDimension re-validates (positive domain, unique name), so a
-    // corrupt schema is rejected rather than constructed.
-    FEDAQP_RETURN_IF_ERROR(schema.AddDimension(name, domain));
-  }
-  return schema;
-}
-
 void EncodeEndpointInfo(const EndpointInfo& v, ByteWriter* w) {
   w->PutString(v.name);
   EncodeSchema(v.schema, w);

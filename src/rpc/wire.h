@@ -119,9 +119,6 @@ Status ExpectConsumed(const ByteReader& r);
 void EncodeWorkStats(const ProviderWorkStats& v, ByteWriter* w);
 Result<ProviderWorkStats> DecodeWorkStats(ByteReader* r);
 
-void EncodeSchema(const Schema& v, ByteWriter* w);
-Result<Schema> DecodeSchema(ByteReader* r);
-
 void EncodeEndpointInfo(const EndpointInfo& v, ByteWriter* w);
 Result<EndpointInfo> DecodeEndpointInfo(ByteReader* r);
 

@@ -56,27 +56,8 @@ Status CheckHeader(ByteReader* r, uint32_t expected_magic) {
 
 }  // namespace
 
-void SerializeSchema(const Schema& schema, ByteWriter* w) {
-  w->PutU32(static_cast<uint32_t>(schema.num_dims()));
-  for (const auto& d : schema.dims()) {
-    w->PutString(d.name);
-    w->PutI64(d.domain_size);
-  }
-}
-
-Result<Schema> DeserializeSchema(ByteReader* r) {
-  FEDAQP_ASSIGN_OR_RETURN(uint32_t n, r->GetU32());
-  Schema schema;
-  for (uint32_t i = 0; i < n; ++i) {
-    FEDAQP_ASSIGN_OR_RETURN(std::string name, r->GetString());
-    FEDAQP_ASSIGN_OR_RETURN(int64_t domain, r->GetI64());
-    FEDAQP_RETURN_IF_ERROR(schema.AddDimension(name, domain));
-  }
-  return schema;
-}
-
 void SerializeTable(const Table& table, ByteWriter* w) {
-  SerializeSchema(table.schema(), w);
+  EncodeSchema(table.schema(), w);
   w->PutU64(table.num_rows());
   for (const auto& row : table.rows()) {
     for (Value v : row.values) w->PutI64(v);
@@ -85,7 +66,7 @@ void SerializeTable(const Table& table, ByteWriter* w) {
 }
 
 Result<Table> DeserializeTable(ByteReader* r) {
-  FEDAQP_ASSIGN_OR_RETURN(Schema schema, DeserializeSchema(r));
+  FEDAQP_ASSIGN_OR_RETURN(Schema schema, DecodeSchema(r));
   FEDAQP_ASSIGN_OR_RETURN(uint64_t rows, r->GetU64());
   const size_t dims = schema.num_dims();
   Table table(std::move(schema));
@@ -124,7 +105,7 @@ Status SaveClusterStore(const ClusterStore& store, const std::string& path) {
   // Rows are materialized in physical (cluster) order; reloading rebuilds
   // with the sequential layout, which reproduces the exact same balanced
   // clusters regardless of the layout used at original build time.
-  SerializeSchema(store.schema(), &w);
+  EncodeSchema(store.schema(), &w);
   w.PutU64(store.TotalRows());
   store.ForEachCluster([&](const Cluster& cluster) {
     for (size_t i = 0; i < cluster.num_rows(); ++i) {
@@ -158,7 +139,7 @@ Result<ClusterStore> LoadClusterStore(const std::string& path) {
   ByteReader r(bytes);
   FEDAQP_RETURN_IF_ERROR(CheckHeader(&r, kStoreMagic));
   FEDAQP_ASSIGN_OR_RETURN(uint64_t capacity, r.GetU64());
-  FEDAQP_ASSIGN_OR_RETURN(Schema schema, DeserializeSchema(&r));
+  FEDAQP_ASSIGN_OR_RETURN(Schema schema, DecodeSchema(&r));
   FEDAQP_ASSIGN_OR_RETURN(uint64_t rows, r.GetU64());
   const size_t dims = schema.num_dims();
   Table table(std::move(schema));

@@ -17,10 +17,6 @@ namespace fedaqp {
 /// Format: a magic tag + version, then the ByteWriter-encoded payload.
 /// Loads reject bad magic, bad version, and truncated files.
 
-/// Serializes a schema into `w` / reads it back.
-void SerializeSchema(const Schema& schema, ByteWriter* w);
-Result<Schema> DeserializeSchema(ByteReader* r);
-
 /// Serializes a full table (schema + rows).
 void SerializeTable(const Table& table, ByteWriter* w);
 Result<Table> DeserializeTable(ByteReader* r);

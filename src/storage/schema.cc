@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/bytes.h"
+
 namespace fedaqp {
 
 Status Schema::AddDimension(const std::string& name, Value domain_size) {
@@ -57,6 +59,29 @@ std::string Schema::ToString() const {
     os << dims_[i].name << "[" << dims_[i].domain_size << "]";
   }
   return os.str();
+}
+
+void EncodeSchema(const Schema& schema, ByteWriter* w) {
+  w->PutU32(static_cast<uint32_t>(schema.num_dims()));
+  for (const Dimension& d : schema.dims()) {
+    w->PutString(d.name);
+    w->PutI64(d.domain_size);
+  }
+}
+
+Result<Schema> DecodeSchema(ByteReader* r) {
+  FEDAQP_ASSIGN_OR_RETURN(uint32_t n, r->GetU32());
+  // Each dimension is at least a u32 name length + an i64 domain.
+  if (n > r->remaining() / 12) {
+    return Status::OutOfRange("schema: dimension count exceeds the bytes left");
+  }
+  Schema schema;
+  for (uint32_t i = 0; i < n; ++i) {
+    FEDAQP_ASSIGN_OR_RETURN(std::string name, r->GetString());
+    FEDAQP_ASSIGN_OR_RETURN(int64_t domain, r->GetI64());
+    FEDAQP_RETURN_IF_ERROR(schema.AddDimension(name, domain));
+  }
+  return schema;
 }
 
 }  // namespace fedaqp

@@ -10,6 +10,9 @@
 
 namespace fedaqp {
 
+class ByteReader;  // common/bytes.h
+class ByteWriter;
+
 /// Dimension values are discrete, totally ordered integers in
 /// [0, domain_size), matching the paper's data model (Sec. 3): every
 /// attribute is assumed to have a discrete and totally ordered domain.
@@ -63,6 +66,18 @@ class Schema {
  private:
   std::vector<Dimension> dims_;
 };
+
+/// The one schema codec, shared by the wire protocol and the store file
+/// formats: a u32 dimension count, then per dimension a length-prefixed
+/// name and an i64 domain size.
+void EncodeSchema(const Schema& schema, ByteWriter* w);
+
+/// Reads EncodeSchema's bytes. A dimension count the remaining bytes
+/// cannot hold (each dimension takes at least 12) is OutOfRange before
+/// anything is read, and every dimension is re-validated through
+/// AddDimension, so corrupt or hostile bytes yield a Status, never a
+/// malformed schema.
+Result<Schema> DecodeSchema(ByteReader* r);
 
 }  // namespace fedaqp
 

@@ -13,7 +13,6 @@
 #include "common/bytes.h"
 #include "obs/metrics.h"
 #include "storage/cluster_store.h"
-#include "storage/persistence.h"
 
 namespace fedaqp {
 
@@ -209,7 +208,7 @@ Status MappedStoreFile::Save(const ClusterStore& store,
   w.PutU64(store.num_clusters());
   w.PutU64(store.TotalRows());
   w.PutI64(store.TotalMeasure());
-  SerializeSchema(store.schema(), &w);
+  EncodeSchema(store.schema(), &w);
   w.PutRaw(dir.bytes().data(), dir.size());
   w.PutU64(data.size());
   w.PutRaw(data.bytes().data(), data.size());
@@ -254,7 +253,7 @@ Result<std::shared_ptr<const MappedStoreFile>> MappedStoreFile::Open(
   FEDAQP_ASSIGN_OR_RETURN(uint64_t num_clusters, r.GetU64());
   FEDAQP_ASSIGN_OR_RETURN(file->total_rows_, r.GetU64());
   FEDAQP_ASSIGN_OR_RETURN(file->total_measure_, r.GetI64());
-  FEDAQP_ASSIGN_OR_RETURN(file->schema_, DeserializeSchema(&r));
+  FEDAQP_ASSIGN_OR_RETURN(file->schema_, DecodeSchema(&r));
   const size_t dims = file->schema_.num_dims();
   if (dims == 0) return Corrupt("schema has no dimensions");
 

@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "dp/composition.h"
 #include "workload/datagen.h"
+#include "client_util.h"
 
 namespace fedaqp {
 namespace {
@@ -124,6 +125,18 @@ class AttackFixture : public ::testing::Test {
     return out;
   }
 
+  /// Mounts `attack` through a fresh client over the providers, as each
+  /// attack run of the paper does: session ids start over and the
+  /// attacker's grant is its own.
+  Result<AttackResult> Mount(const FederationConfig& base,
+                             const AttackConfig& attack,
+                             const std::vector<EvalRow>& eval) {
+    std::unique_ptr<FederationClient> client =
+        testutil::SoloClient(Ptrs(), base);
+    if (client == nullptr) return Status::Internal("attack: no client");
+    return RunNbcAttack(client.get(), "attacker", attack, eval);
+  }
+
   Table raw_;
   std::vector<std::unique_ptr<DataProvider>> providers_;
 };
@@ -139,11 +152,24 @@ TEST_F(AttackFixture, RunValidatesConfig) {
   FederationConfig base;
   AttackConfig bad;
   bad.sa_dim = 99;
-  EXPECT_FALSE(RunNbcAttack(Ptrs(), base, bad, {}).ok());
+  EXPECT_FALSE(Mount(base, bad, {}).ok());
   AttackConfig dup;
   dup.sa_dim = 0;
   dup.qi_dims = {0};
-  EXPECT_FALSE(RunNbcAttack(Ptrs(), base, dup, {}).ok());
+  EXPECT_FALSE(Mount(base, dup, {}).ok());
+  // The runner registers the attacker's grant itself: a name the client
+  // already knows is refused before any query runs.
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient(Ptrs(), base);
+  ASSERT_NE(client, nullptr);
+  AttackConfig ok;
+  ok.sa_dim = 0;
+  ok.qi_dims = {1};
+  EXPECT_EQ(RunNbcAttack(client.get(), testutil::kAnalyst, ok, {})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(testutil::NumCharges(*client), 0u);
 }
 
 TEST_F(AttackFixture, DpInterfaceDefeatsAttackUnderTightBudget) {
@@ -156,7 +182,7 @@ TEST_F(AttackFixture, DpInterfaceDefeatsAttackUnderTightBudget) {
   attack.psi = 1e-6;
   attack.composition = AttackComposition::kSequential;
   std::vector<EvalRow> eval = BuildEvalRows(raw_, 0, {1}, 1500);
-  Result<AttackResult> result = RunNbcAttack(Ptrs(), base, attack, eval);
+  Result<AttackResult> result = Mount(base, attack, eval);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_training_queries, 1u + 10u + 10u * 10u);
   // Perfect dependence would give ~100%; the DP interface must crush it
@@ -173,7 +199,7 @@ TEST_F(AttackFixture, CoalitionGetsFullBudgetPerQuery) {
   attack.psi = 1e-6;
   attack.composition = AttackComposition::kCoalition;
   std::vector<EvalRow> eval = BuildEvalRows(raw_, 0, {1}, 200);
-  Result<AttackResult> result = RunNbcAttack(Ptrs(), base, attack, eval);
+  Result<AttackResult> result = Mount(base, attack, eval);
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(result->per_query_budget.epsilon, 20.0);
 }
@@ -193,8 +219,8 @@ TEST_F(AttackFixture, PerQueryBudgetsMatchCompositionFormulas) {
   AttackConfig adv = seq;
   adv.composition = AttackComposition::kAdvanced;
   std::vector<EvalRow> eval = BuildEvalRows(raw_, 0, {1}, 50);
-  Result<AttackResult> rs = RunNbcAttack(Ptrs(), base, seq, eval);
-  Result<AttackResult> ra = RunNbcAttack(Ptrs(), base, adv, eval);
+  Result<AttackResult> rs = Mount(base, seq, eval);
+  Result<AttackResult> ra = Mount(base, adv, eval);
   ASSERT_TRUE(rs.ok());
   ASSERT_TRUE(ra.ok());
   const size_t n = rs->num_training_queries;

@@ -10,6 +10,7 @@
 #include "common/math.h"
 #include "federation/derived.h"
 #include "workload/datagen.h"
+#include "client_util.h"
 
 namespace fedaqp {
 namespace {
@@ -38,16 +39,21 @@ class DerivedFixture : public ::testing::Test {
       ASSERT_TRUE(p.ok());
       providers_.push_back(std::move(p).value());
     }
+    client_ = testutil::SoloClient(Ptrs(), Config());
+    ASSERT_NE(client_, nullptr);
+  }
+
+  std::vector<DataProvider*> Ptrs() {
+    std::vector<DataProvider*> ptrs;
+    for (auto& p : providers_) ptrs.push_back(p.get());
+    return ptrs;
+  }
+
+  static FederationConfig Config() {
     FederationConfig config;
     config.per_query_budget = {2.0, 1e-3};
     config.sampling_rate = 0.4;
-    config.total_xi = 1e6;
-    config.total_psi = 1e3;
-    std::vector<DataProvider*> ptrs;
-    for (auto& p : providers_) ptrs.push_back(p.get());
-    Result<QueryOrchestrator> orch = QueryOrchestrator::Create(ptrs, config);
-    ASSERT_TRUE(orch.ok());
-    orchestrator_ = std::make_unique<QueryOrchestrator>(std::move(orch).value());
+    return config;
   }
 
   int64_t Truth(const RangeQuery& q) {
@@ -57,8 +63,12 @@ class DerivedFixture : public ::testing::Test {
   }
 
   std::vector<std::unique_ptr<DataProvider>> providers_;
-  std::unique_ptr<QueryOrchestrator> orchestrator_;
+  FederationClient* Client() { return client_.get(); }
+
+  std::unique_ptr<FederationClient> client_;
 };
+
+constexpr const char* kAnalyst = testutil::kAnalyst;
 
 // ------------------------------------------------------------ SumSquares --
 
@@ -119,7 +129,7 @@ TEST_F(DerivedFixture, PrivateAverageTracksTruth) {
   double true_avg = true_sum / true_count;
   RunningStats st;
   for (int rep = 0; rep < 10; ++rep) {
-    Result<DerivedResult> avg = PrivateAverage(orchestrator_.get(), range);
+    Result<DerivedResult> avg = PrivateAverage(Client(), kAnalyst, range);
     ASSERT_TRUE(avg.ok());
     st.Add(avg->value);
     // Two underlying queries' budgets.
@@ -132,23 +142,51 @@ TEST_F(DerivedFixture, PrivateVarianceIsNonNegativeAndCharged) {
   RangeQuery range = RangeQueryBuilder(Aggregation::kSum)
                          .Where(0, 0, 39)
                          .Build();
-  Result<DerivedResult> var = PrivateVariance(orchestrator_.get(), range);
+  Result<DerivedResult> var = PrivateVariance(Client(), kAnalyst, range);
   ASSERT_TRUE(var.ok());
   EXPECT_GE(var->value, 0.0);
   EXPECT_DOUBLE_EQ(var->spent.epsilon, 3.0 * 2.0);  // three queries at eps=2
-  Result<DerivedResult> sd = PrivateStdDev(orchestrator_.get(), range);
+  Result<DerivedResult> sd = PrivateStdDev(Client(), kAnalyst, range);
   ASSERT_TRUE(sd.ok());
   EXPECT_GE(sd->value, 0.0);
   EXPECT_NEAR(sd->value * sd->value, sd->value * sd->value, 1e-9);
 }
 
-TEST_F(DerivedFixture, DerivedQueriesConsumeAccountantBudget) {
-  size_t before = orchestrator_->accountant().num_charges();
+TEST_F(DerivedFixture, DerivedQueriesConsumeLedgerBudget) {
+  size_t before = testutil::NumCharges(*client_);
   RangeQuery range = RangeQueryBuilder(Aggregation::kSum)
                          .Where(0, 10, 30)
                          .Build();
-  ASSERT_TRUE(PrivateAverage(orchestrator_.get(), range).ok());
-  EXPECT_EQ(orchestrator_->accountant().num_charges(), before + 2);
+  ASSERT_TRUE(PrivateAverage(Client(), kAnalyst, range).ok());
+  EXPECT_EQ(testutil::NumCharges(*client_), before + 2);
+}
+
+// One pool: plain and derived queries spend the same grant. A 3*eps
+// grant holds exactly one plain query plus PrivateAverage's two charges;
+// once a second plain query has spent its share, the average's first
+// charge (SUM) still fits and its second (COUNT) is refused.
+TEST_F(DerivedFixture, DerivedAndPlainQueriesShareOneGrant) {
+  const double eps = Config().per_query_budget.epsilon;
+  RangeQuery range = RangeQueryBuilder(Aggregation::kSum)
+                         .Where(0, 10, 30)
+                         .Build();
+
+  client_ = testutil::SoloClient(Ptrs(), Config(), 3.0 * eps, 1.0);
+  ASSERT_NE(client_, nullptr);
+  ASSERT_TRUE(testutil::Ask(client_.get(), range).ok());
+  ASSERT_TRUE(PrivateAverage(Client(), kAnalyst, range).ok());
+  EXPECT_EQ(testutil::NumCharges(*client_), 3u);
+  EXPECT_DOUBLE_EQ(testutil::Spent(*client_).epsilon, 3.0 * eps);
+
+  client_ = testutil::SoloClient(Ptrs(), Config(), 3.0 * eps, 1.0);
+  ASSERT_NE(client_, nullptr);
+  ASSERT_TRUE(testutil::Ask(client_.get(), range).ok());
+  ASSERT_TRUE(testutil::Ask(client_.get(), range).ok());
+  Result<DerivedResult> avg =
+      PrivateAverage(Client(), kAnalyst, range);
+  EXPECT_EQ(avg.status().code(), StatusCode::kBudgetExhausted);
+  EXPECT_EQ(testutil::NumCharges(*client_), 3u);
+  EXPECT_DOUBLE_EQ(testutil::Spent(*client_).epsilon, 3.0 * eps);
 }
 
 // --------------------------------------------------------------- GroupBy --
@@ -160,7 +198,7 @@ TEST_F(DerivedFixture, GroupByCoversDomainAndSumsToTotal) {
   GroupByOptions opts;
   opts.group_dim = 1;  // |b| = 12 buckets
   Result<GroupByResult> grouped =
-      PrivateGroupBy(orchestrator_.get(), base, opts);
+      PrivateGroupBy(Client(), kAnalyst, base, opts);
   ASSERT_TRUE(grouped.ok());
   EXPECT_EQ(grouped->buckets.size(), 12u);
   // Bucket estimates should roughly partition the range total.
@@ -181,7 +219,7 @@ TEST_F(DerivedFixture, GroupByHonoursExplicitInterval) {
   opts.group_lo = 2;
   opts.group_hi = 5;
   Result<GroupByResult> grouped =
-      PrivateGroupBy(orchestrator_.get(), base, opts);
+      PrivateGroupBy(Client(), kAnalyst, base, opts);
   ASSERT_TRUE(grouped.ok());
   ASSERT_EQ(grouped->buckets.size(), 4u);
   EXPECT_EQ(grouped->buckets.front().group_value, 2);
@@ -194,7 +232,7 @@ TEST_F(DerivedFixture, GroupByRejectsConstrainedGroupDim) {
                         .Build();
   GroupByOptions opts;
   opts.group_dim = 1;
-  EXPECT_EQ(PrivateGroupBy(orchestrator_.get(), base, opts).status().code(),
+  EXPECT_EQ(PrivateGroupBy(Client(), kAnalyst, base, opts).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -206,7 +244,7 @@ TEST_F(DerivedFixture, GroupByRejectsEmptyInterval) {
   opts.group_dim = 1;
   opts.group_lo = 8;
   opts.group_hi = 7;  // empty
-  EXPECT_FALSE(PrivateGroupBy(orchestrator_.get(), base, opts).ok());
+  EXPECT_FALSE(PrivateGroupBy(Client(), kAnalyst, base, opts).ok());
 }
 
 }  // namespace

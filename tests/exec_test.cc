@@ -1,6 +1,6 @@
 // Tests for the execution layer: thread pool, provider endpoints, the
-// parallel orchestrator phases (determinism + cost aggregation), and the
-// multi-analyst QueryEngine session layer.
+// parallel orchestrator phases (determinism + cost aggregation), and
+// multi-analyst admission through the FederationClient session layer.
 
 #include <atomic>
 #include <chrono>
@@ -20,12 +20,12 @@
 #include "core/federation.h"
 #include "dp/accountant.h"
 #include "exec/in_process_endpoint.h"
-#include "exec/query_engine.h"
 #include "exec/thread_pool.h"
 #include "federation/orchestrator.h"
 #include "federation/progressive.h"
 #include "storage/sharded_scan_executor.h"
 #include "workload/datagen.h"
+#include "client_util.h"
 
 namespace fedaqp {
 namespace {
@@ -265,8 +265,6 @@ FederationConfig BaseConfig(size_t num_threads) {
   FederationConfig config;
   config.per_query_budget = {1.0, 1e-3};
   config.sampling_rate = 0.3;
-  config.total_xi = 1e6;
-  config.total_psi = 1e3;
   config.seed = 4242;
   config.num_threads = num_threads;
   return config;
@@ -344,10 +342,10 @@ TEST(InProcessEndpointTest, EndpointSurvivesOrchestratorTeardown) {
   {
     FederationConfig config = BaseConfig(/*num_threads=*/4);
     config.num_scan_shards = 4;
-    Result<QueryOrchestrator> orch =
-        QueryOrchestrator::CreateFromEndpoints(*endpoints, config);
-    ASSERT_TRUE(orch.ok());
-    Result<QueryResponse> resp = orch->ExecuteExact(WideQuery());
+    std::unique_ptr<FederationClient> client =
+        testutil::SoloClientFromEndpoints(*endpoints, config);
+    ASSERT_NE(client, nullptr);
+    Result<QueryResponse> resp = testutil::AskExact(client.get(), WideQuery());
     ASSERT_TRUE(resp.ok());
     pooled_value = resp->estimate;
   }  // orchestrator (and its pool) destroyed here
@@ -369,11 +367,11 @@ TEST(InProcessEndpointTest, EndpointSurvivesOrchestratorTeardown) {
 TEST(InProcessEndpointTest, OrchestratorOutlivingProvidersTearsDownSafely) {
   auto providers = MakeFederation(2);
   FederationConfig config = BaseConfig(/*num_threads=*/2);  // shards stay 0
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create(Ptrs(providers), config);
-  ASSERT_TRUE(orch.ok());
-  ASSERT_TRUE(orch->Execute(WideQuery()).ok());
-  providers.clear();  // providers die first; `orch` is destroyed after
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient(Ptrs(providers), config);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(testutil::Ask(client.get(), WideQuery()).ok());
+  providers.clear();  // providers die first; `client` is destroyed after
 }
 
 // ------------------------------------------------- Cost-aggregation (fakes) --
@@ -465,11 +463,11 @@ TEST(OrchestratorCostTest, ProviderSecondsAreMaxedNotSummed) {
                                      /*phase2=*/0.5, /*estimate=*/20.0),
   };
   FederationConfig config = BaseConfig(/*num_threads=*/1);
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::CreateFromEndpoints(endpoints, config);
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClientFromEndpoints(endpoints, config);
+  ASSERT_NE(client, nullptr);
   RangeQuery q = RangeQueryBuilder(Aggregation::kCount).Where(0, 0, 50).Build();
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = testutil::Ask(client.get(), q);
   ASSERT_TRUE(resp.ok());
   // Phase maxima: summary max(1, 3) = 3, estimate max(2, 0.5) = 2. A
   // summing implementation would report 6.5.
@@ -477,7 +475,7 @@ TEST(OrchestratorCostTest, ProviderSecondsAreMaxedNotSummed) {
   // The sum of scripted estimates survives combination.
   EXPECT_DOUBLE_EQ(resp->estimate, 30.0);
 
-  Result<QueryResponse> exact = orch->ExecuteExact(q);
+  Result<QueryResponse> exact = testutil::AskExact(client.get(), q);
   ASSERT_TRUE(exact.ok());
   EXPECT_NEAR(exact->breakdown.provider_compute_seconds, 2.0, 1e-9);
   EXPECT_DOUBLE_EQ(exact->estimate, 30.0);
@@ -503,11 +501,11 @@ TEST(OrchestratorCostTest, ThrowingEndpointBecomesStatusNotTerminate) {
   };
   FederationConfig config = BaseConfig(/*num_threads=*/4);
   config.num_scan_shards = 2;
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::CreateFromEndpoints(endpoints, config);
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClientFromEndpoints(endpoints, config);
+  ASSERT_NE(client, nullptr);
   RangeQuery q = RangeQueryBuilder(Aggregation::kCount).Where(0, 0, 50).Build();
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = testutil::Ask(client.get(), q);
   ASSERT_FALSE(resp.ok());
   EXPECT_EQ(resp.status().code(), StatusCode::kInternal);
   EXPECT_NE(resp.status().ToString().find("shard 0 failed"), std::string::npos);
@@ -523,12 +521,12 @@ TEST(ParallelDeterminismTest, OrchestratorIdenticalAcrossPoolSizes) {
   std::vector<std::vector<double>> estimates_by_pool;
   for (size_t threads : pool_sizes) {
     auto providers = MakeFederation(kProviders);
-    Result<QueryOrchestrator> orch =
-        QueryOrchestrator::Create(Ptrs(providers), BaseConfig(threads));
-    ASSERT_TRUE(orch.ok());
+    std::unique_ptr<FederationClient> client =
+        testutil::SoloClient(Ptrs(providers), BaseConfig(threads));
+    ASSERT_NE(client, nullptr);
     std::vector<double> estimates;
     for (int rep = 0; rep < 3; ++rep) {
-      Result<QueryResponse> resp = orch->Execute(WideQuery());
+      Result<QueryResponse> resp = testutil::Ask(client.get(), WideQuery());
       ASSERT_TRUE(resp.ok());
       estimates.push_back(resp->estimate);
     }
@@ -542,23 +540,23 @@ TEST(ParallelDeterminismTest, OrchestratorIdenticalAcrossPoolSizes) {
   }
 }
 
-TEST(ParallelDeterminismTest, EngineBatchIdenticalAcrossPoolSizes) {
+TEST(ParallelDeterminismTest, ClientBatchIdenticalAcrossPoolSizes) {
   constexpr size_t kProviders = 4;
   const std::vector<size_t> pool_sizes = {1, 2, 8};
 
   // A mixed batch from two analysts, including an over-budget entry whose
   // refusal must also be stable.
   auto make_batch = [] {
-    std::vector<AnalystQuery> batch;
+    std::vector<QuerySpec> batch;
     for (int i = 0; i < 3; ++i) {
-      batch.push_back({"alice",
-                       RangeQueryBuilder(Aggregation::kSum)
-                           .Where(0, 20 + i, 180)
-                           .Build()});
-      batch.push_back({"bob",
-                       RangeQueryBuilder(Aggregation::kCount)
-                           .Where(0, 10, 150 - i)
-                           .Build()});
+      batch.push_back(testutil::Spec("alice",
+                                     RangeQueryBuilder(Aggregation::kSum)
+                                         .Where(0, 20 + i, 180)
+                                         .Build()));
+      batch.push_back(testutil::Spec("bob",
+                                     RangeQueryBuilder(Aggregation::kCount)
+                                         .Where(0, 10, 150 - i)
+                                         .Build()));
     }
     return batch;
   };
@@ -567,13 +565,14 @@ TEST(ParallelDeterminismTest, EngineBatchIdenticalAcrossPoolSizes) {
   std::vector<std::vector<bool>> admitted_by_pool;
   for (size_t threads : pool_sizes) {
     auto providers = MakeFederation(kProviders);
-    QueryEngineOptions opts;
+    FederationClient::Options opts;
     opts.protocol = BaseConfig(threads);
     opts.analysts = {{"alice", 1e6, 1e3}, {"bob", 2.5, 1.0}};
-    Result<std::unique_ptr<QueryEngine>> engine =
-        QueryEngine::Create(Ptrs(providers), opts);
-    ASSERT_TRUE(engine.ok());
-    std::vector<BatchOutcome> outcomes = (*engine)->ExecuteBatch(make_batch());
+    Result<std::unique_ptr<FederationClient>> client =
+        FederationClient::Create(Ptrs(providers), opts);
+    ASSERT_TRUE(client.ok());
+    std::vector<QueryTicket> tickets = (*client)->SubmitAll(make_batch());
+    std::vector<BatchOutcome> outcomes = WaitAll(tickets);
     std::vector<double> estimates;
     std::vector<bool> admitted;
     for (const auto& out : outcomes) {
@@ -607,12 +606,14 @@ TEST(ParallelDeterminismTest, DistinctOrchestratorSeedsDrawDistinctNoise) {
   FederationConfig c1 = BaseConfig(1);
   FederationConfig c2 = BaseConfig(1);
   c2.seed = c1.seed + 1;
-  Result<QueryOrchestrator> o1 = QueryOrchestrator::Create(Ptrs(providers), c1);
-  Result<QueryOrchestrator> o2 = QueryOrchestrator::Create(Ptrs(providers), c2);
-  ASSERT_TRUE(o1.ok());
-  ASSERT_TRUE(o2.ok());
-  Result<QueryResponse> r1 = o1->Execute(WideQuery());
-  Result<QueryResponse> r2 = o2->Execute(WideQuery());
+  std::unique_ptr<FederationClient> o1 =
+      testutil::SoloClient(Ptrs(providers), c1);
+  std::unique_ptr<FederationClient> o2 =
+      testutil::SoloClient(Ptrs(providers), c2);
+  ASSERT_NE(o1, nullptr);
+  ASSERT_NE(o2, nullptr);
+  Result<QueryResponse> r1 = testutil::Ask(o1.get(), WideQuery());
+  Result<QueryResponse> r2 = testutil::Ask(o2.get(), WideQuery());
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_NE(r1->estimate, r2->estimate);
@@ -663,10 +664,11 @@ TEST(ParallelDeterminismTest, ShardedScansIdenticalAcrossPoolAndShardCounts) {
       FederationConfig config = BaseConfig(threads);
       config.num_scan_shards = shards;
       auto providers = MakeFederation(kProviders);
-      Result<QueryOrchestrator> orch =
-          QueryOrchestrator::Create(Ptrs(providers), config);
-      ASSERT_TRUE(orch.ok());
-      std::vector<BatchOutcome> outcomes = orch->ExecuteBatch(queries);
+      std::unique_ptr<FederationClient> client =
+          testutil::SoloClient(Ptrs(providers), config);
+      ASSERT_NE(client, nullptr);
+      std::vector<BatchOutcome> outcomes =
+          testutil::AskAll(client.get(), queries);
       ASSERT_EQ(outcomes.size(), queries.size());
       std::vector<double> estimates;
       size_t rows = 0;
@@ -692,11 +694,11 @@ TEST(ParallelDeterminismTest, ShardedScansIdenticalAcrossPoolAndShardCounts) {
   FederationConfig seq_config = BaseConfig(1);
   seq_config.num_scan_shards = 8;
   auto seq_providers = MakeFederation(kProviders);
-  Result<QueryOrchestrator> seq =
-      QueryOrchestrator::Create(Ptrs(seq_providers), seq_config);
-  ASSERT_TRUE(seq.ok());
+  std::unique_ptr<FederationClient> seq =
+      testutil::SoloClient(Ptrs(seq_providers), seq_config);
+  ASSERT_NE(seq, nullptr);
   for (size_t i = 0; i < queries.size(); ++i) {
-    Result<QueryResponse> resp = seq->Execute(queries[i]);
+    Result<QueryResponse> resp = testutil::Ask(seq.get(), queries[i]);
     ASSERT_TRUE(resp.ok());
     EXPECT_DOUBLE_EQ(resp->estimate, base_estimates[i]) << "query=" << i;
   }
@@ -719,12 +721,12 @@ TEST(OrchestratorCostTest, ShardCountDoesNotChangeProviderSecondsSemantics) {
     };
     FederationConfig config = BaseConfig(/*num_threads=*/2);
     config.num_scan_shards = shards;
-    Result<QueryOrchestrator> orch =
-        QueryOrchestrator::CreateFromEndpoints(endpoints, config);
-    ASSERT_TRUE(orch.ok());
+    std::unique_ptr<FederationClient> client =
+        testutil::SoloClientFromEndpoints(endpoints, config);
+    ASSERT_NE(client, nullptr);
     RangeQuery q =
         RangeQueryBuilder(Aggregation::kCount).Where(0, 0, 50).Build();
-    Result<QueryResponse> resp = orch->Execute(q);
+    Result<QueryResponse> resp = testutil::Ask(client.get(), q);
     ASSERT_TRUE(resp.ok());
     // max(1,3) + max(2,0.5) = 5 for every shard count; a summing
     // implementation would drift with shards.
@@ -733,7 +735,7 @@ TEST(OrchestratorCostTest, ShardCountDoesNotChangeProviderSecondsSemantics) {
   }
 }
 
-// param-free guard: a batch through a pooled engine equals running the
+// param-free guard: a batch through a pooled client equals running the
 // same queries one by one on a single-threaded twin.
 TEST(ParallelDeterminismTest, BatchMatchesSequentialExecution) {
   constexpr size_t kProviders = 3;
@@ -744,21 +746,21 @@ TEST(ParallelDeterminismTest, BatchMatchesSequentialExecution) {
   }
 
   auto seq_providers = MakeFederation(kProviders);
-  Result<QueryOrchestrator> seq =
-      QueryOrchestrator::Create(Ptrs(seq_providers), BaseConfig(1));
-  ASSERT_TRUE(seq.ok());
+  std::unique_ptr<FederationClient> seq =
+      testutil::SoloClient(Ptrs(seq_providers), BaseConfig(1));
+  ASSERT_NE(seq, nullptr);
   std::vector<double> sequential;
   for (const auto& q : queries) {
-    Result<QueryResponse> resp = seq->Execute(q);
+    Result<QueryResponse> resp = testutil::Ask(seq.get(), q);
     ASSERT_TRUE(resp.ok());
     sequential.push_back(resp->estimate);
   }
 
   auto batch_providers = MakeFederation(kProviders);
-  Result<QueryOrchestrator> batched =
-      QueryOrchestrator::Create(Ptrs(batch_providers), BaseConfig(4));
-  ASSERT_TRUE(batched.ok());
-  std::vector<BatchOutcome> outcomes = batched->ExecuteBatch(queries);
+  std::unique_ptr<FederationClient> batched =
+      testutil::SoloClient(Ptrs(batch_providers), BaseConfig(4));
+  ASSERT_NE(batched, nullptr);
+  std::vector<BatchOutcome> outcomes = testutil::AskAll(batched.get(), queries);
   ASSERT_EQ(outcomes.size(), queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
     ASSERT_TRUE(outcomes[q].ok());
@@ -766,88 +768,85 @@ TEST(ParallelDeterminismTest, BatchMatchesSequentialExecution) {
   }
 }
 
-// -------------------------------------------------------------- QueryEngine --
+// ------------------------------------------------------ Session admission --
 
-TEST(QueryEngineTest, UnknownAnalystIsRefusedWithoutProviderWork) {
+TEST(SessionAdmissionTest, UnknownAnalystIsRefusedWithoutProviderWork) {
   auto providers = MakeFederation(2);
-  QueryEngineOptions opts;
+  FederationClient::Options opts;
   opts.protocol = BaseConfig(1);
   opts.analysts = {{"alice", 10.0, 1.0}};
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(Ptrs(providers), opts);
-  ASSERT_TRUE(engine.ok());
-  Result<QueryResponse> resp = (*engine)->Execute("mallory", WideQuery());
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(Ptrs(providers), opts);
+  ASSERT_TRUE(client.ok());
+  Result<QueryResponse> resp =
+      testutil::Ask(client->get(), WideQuery(), "mallory");
   EXPECT_EQ(resp.status().code(), StatusCode::kNotFound);
 }
 
-TEST(QueryEngineTest, InvalidQuerySpendsNoBudget) {
+TEST(SessionAdmissionTest, InvalidQuerySpendsNoBudget) {
   auto providers = MakeFederation(2);
-  QueryEngineOptions opts;
+  FederationClient::Options opts;
   opts.protocol = BaseConfig(1);
   opts.analysts = {{"alice", 10.0, 1.0}};
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(Ptrs(providers), opts);
-  ASSERT_TRUE(engine.ok());
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(Ptrs(providers), opts);
+  ASSERT_TRUE(client.ok());
   RangeQuery bad = RangeQueryBuilder(Aggregation::kCount).Where(99, 0, 1).Build();
-  EXPECT_FALSE((*engine)->Execute("alice", bad).ok());
-  Result<PrivacyBudget> spent = (*engine)->ledger().Spent("alice");
+  EXPECT_FALSE(testutil::Ask(client->get(), bad, "alice").ok());
+  Result<PrivacyBudget> spent = (*client)->ledger().Spent("alice");
   ASSERT_TRUE(spent.ok());
   EXPECT_DOUBLE_EQ(spent->epsilon, 0.0);
 }
 
-TEST(QueryEngineTest, PerAnalystBudgetsEnforcedWithinOneBatch) {
+TEST(SessionAdmissionTest, PerAnalystBudgetsEnforcedWithinOneBatch) {
   auto providers = MakeFederation(2);
-  QueryEngineOptions opts;
+  FederationClient::Options opts;
   opts.protocol = BaseConfig(2);
   opts.analysts = {{"alice", 1.5, 1.0}, {"bob", 1e6, 1e3}};
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(Ptrs(providers), opts);
-  ASSERT_TRUE(engine.ok());
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(Ptrs(providers), opts);
+  ASSERT_TRUE(client.ok());
 
-  std::vector<AnalystQuery> batch = {
-      {"alice", WideQuery()},  // admitted (1.0 of 1.5)
-      {"bob", WideQuery()},    // admitted
-      {"alice", WideQuery()},  // refused: would exceed alice's xi
-      {"bob", WideQuery()},    // admitted: bob unaffected
-  };
-  std::vector<BatchOutcome> outcomes = (*engine)->ExecuteBatch(batch);
+  std::vector<QueryTicket> tickets = (*client)->SubmitAll({
+      testutil::Spec("alice", WideQuery()),  // admitted (1.0 of 1.5)
+      testutil::Spec("bob", WideQuery()),    // admitted
+      testutil::Spec("alice", WideQuery()),  // refused: exceeds alice's xi
+      testutil::Spec("bob", WideQuery()),    // admitted: bob unaffected
+  });
+  std::vector<BatchOutcome> outcomes = WaitAll(tickets);
   ASSERT_EQ(outcomes.size(), 4u);
   EXPECT_TRUE(outcomes[0].ok());
   EXPECT_TRUE(outcomes[1].ok());
   EXPECT_EQ(outcomes[2].status.code(), StatusCode::kBudgetExhausted);
   EXPECT_TRUE(outcomes[3].ok());
 
-  Result<PrivacyBudget> alice = (*engine)->ledger().Spent("alice");
+  Result<PrivacyBudget> alice = (*client)->ledger().Spent("alice");
   ASSERT_TRUE(alice.ok());
   EXPECT_DOUBLE_EQ(alice->epsilon, 1.0);
-  Result<PrivacyBudget> bob = (*engine)->ledger().Spent("bob");
+  Result<PrivacyBudget> bob = (*client)->ledger().Spent("bob");
   ASSERT_TRUE(bob.ok());
   EXPECT_DOUBLE_EQ(bob->epsilon, 2.0);
 }
 
-TEST(QueryEngineTest, LateRegistrationAdmitsNewAnalyst) {
+TEST(SessionAdmissionTest, LateRegistrationAdmitsNewAnalyst) {
   auto providers = MakeFederation(2);
-  QueryEngineOptions opts;
+  FederationClient::Options opts;
   opts.protocol = BaseConfig(1);
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(Ptrs(providers), opts);
-  ASSERT_TRUE(engine.ok());
-  EXPECT_FALSE((*engine)->Execute("carol", WideQuery()).ok());
-  ASSERT_TRUE((*engine)->RegisterAnalyst("carol", 10.0, 1.0).ok());
-  EXPECT_TRUE((*engine)->Execute("carol", WideQuery()).ok());
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(Ptrs(providers), opts);
+  ASSERT_TRUE(client.ok());
+  EXPECT_FALSE(testutil::Ask(client->get(), WideQuery(), "carol").ok());
+  ASSERT_TRUE((*client)->RegisterAnalyst("carol", 10.0, 1.0).ok());
+  EXPECT_TRUE(testutil::Ask(client->get(), WideQuery(), "carol").ok());
 }
 
-TEST(QueryEngineTest, BatchResponsesCarryBreakdowns) {
+TEST(SessionAdmissionTest, BatchResponsesCarryBreakdowns) {
   auto providers = MakeFederation(3);
-  QueryEngineOptions opts;
-  opts.protocol = BaseConfig(2);
-  opts.analysts = {{"alice", 1e6, 1e3}};
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(Ptrs(providers), opts);
-  ASSERT_TRUE(engine.ok());
-  std::vector<AnalystQuery> batch = {{"alice", WideQuery()},
-                                     {"alice", WideQuery()}};
-  std::vector<BatchOutcome> outcomes = (*engine)->ExecuteBatch(batch);
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient(Ptrs(providers), BaseConfig(2), 1e6, 1e3);
+  ASSERT_NE(client, nullptr);
+  std::vector<BatchOutcome> outcomes =
+      testutil::AskAll(client.get(), {WideQuery(), WideQuery()});
   for (const auto& out : outcomes) {
     ASSERT_TRUE(out.ok());
     EXPECT_GT(out.response.breakdown.network_messages, 0u);
@@ -859,7 +858,7 @@ TEST(QueryEngineTest, BatchResponsesCarryBreakdowns) {
 
 // ------------------------------------------------------ Federation batching --
 
-TEST(FederationBatchTest, QueryBatchChargesSharedAccountant) {
+TEST(FederationBatchTest, QueryBatchChargesTheFederationAnalyst) {
   SyntheticConfig cfg;
   cfg.rows = 8000;
   cfg.seed = 5;
@@ -887,7 +886,7 @@ TEST(FederationBatchTest, QueryBatchChargesSharedAccountant) {
   EXPECT_TRUE(outcomes[0].ok());
   EXPECT_TRUE(outcomes[1].ok());
   EXPECT_EQ(outcomes[2].status.code(), StatusCode::kBudgetExhausted);
-  EXPECT_EQ((*fed)->accountant().num_charges(), 2u);
+  EXPECT_EQ(testutil::NumCharges((*fed)->client(), Federation::kAnalyst), 2u);
 }
 
 }  // namespace

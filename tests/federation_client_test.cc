@@ -23,7 +23,6 @@
 
 #include "exec/federation_client.h"
 #include "exec/in_process_endpoint.h"
-#include "exec/query_engine.h"
 #include "exec/task_graph.h"
 #include "exec/thread_pool.h"
 #include "federation/orchestrator.h"
@@ -31,6 +30,7 @@
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
 #include "workload/datagen.h"
+#include "client_util.h"
 
 namespace fedaqp {
 namespace {
@@ -92,8 +92,8 @@ RangeQuery WideQuery(int shift = 0) {
 // ------------------------------------------------- determinism vs sync path --
 
 // One submitter, one spec at a time: the async client's answers and
-// ledger must equal the synchronous engine's for the same sequence.
-TEST(FederationClientTest, SubmitWaitMatchesSynchronousEngine) {
+// ledger must equal a synchronous replay's for the same sequence.
+TEST(FederationClientTest, SubmitWaitMatchesSynchronousReplay) {
   std::vector<RangeQuery> queries = {WideQuery(0), WideQuery(2), WideQuery(5)};
 
   auto async_providers = MakeFederation(3);
@@ -114,14 +114,15 @@ TEST(FederationClientTest, SubmitWaitMatchesSynchronousEngine) {
   }
 
   auto sync_providers = MakeFederation(3);
-  QueryEngineOptions eopts;
-  eopts.protocol = BaseConfig(1, BatchScheduler::kPhaseBarrier);
-  eopts.analysts = {{"alice", 1e6, 1e3}};
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(Ptrs(sync_providers), eopts);
-  ASSERT_TRUE(engine.ok());
+  FederationClient::Options sync_opts;
+  sync_opts.protocol = BaseConfig(1, BatchScheduler::kPhaseBarrier);
+  sync_opts.analysts = {{"alice", 1e6, 1e3}};
+  Result<std::unique_ptr<FederationClient>> sync_client =
+      FederationClient::Create(Ptrs(sync_providers), sync_opts);
+  ASSERT_TRUE(sync_client.ok());
   for (size_t i = 0; i < queries.size(); ++i) {
-    Result<QueryResponse> resp = (*engine)->Execute("alice", queries[i]);
+    Result<QueryResponse> resp =
+        testutil::Ask(sync_client->get(), queries[i], "alice");
     ASSERT_TRUE(resp.ok());
     EXPECT_EQ(resp->estimate, async_estimates[i]) << "query " << i;
   }
@@ -201,24 +202,28 @@ void RunSubmitterStress(size_t pool_threads, BatchScheduler scheduler,
             [](const QueryTicket& a, const QueryTicket& b) {
               return a.id() < b.id();
             });
-  std::vector<AnalystQuery> sequence;
+  std::vector<QuerySpec> sequence;
   std::vector<double> async_estimates;
   for (QueryTicket& ticket : tickets) {
     Result<QueryResponse> resp = ticket.Wait();
     ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-    sequence.push_back({ticket.spec().analyst, ticket.spec().query});
+    sequence.push_back(
+        testutil::Spec(ticket.spec().analyst, ticket.spec().query));
     async_estimates.push_back(resp->estimate);
   }
 
-  // Synchronous replay of that sequence on an identical federation.
+  // Synchronous replay of that sequence on an identical federation: one
+  // SubmitAll, then WaitAll.
   auto replay_providers = MakeFederation(3);
-  QueryEngineOptions eopts;
-  eopts.protocol = BaseConfig(1, BatchScheduler::kPhaseBarrier);
-  eopts.analysts = copts.analysts;
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(Ptrs(replay_providers), eopts);
-  ASSERT_TRUE(engine.ok());
-  std::vector<BatchOutcome> outcomes = (*engine)->ExecuteBatch(sequence);
+  FederationClient::Options replay_opts;
+  replay_opts.protocol = BaseConfig(1, BatchScheduler::kPhaseBarrier);
+  replay_opts.analysts = copts.analysts;
+  Result<std::unique_ptr<FederationClient>> replay =
+      FederationClient::Create(Ptrs(replay_providers), replay_opts);
+  ASSERT_TRUE(replay.ok());
+  std::vector<QueryTicket> replayed =
+      (*replay)->SubmitAll(std::move(sequence));
+  std::vector<BatchOutcome> outcomes = WaitAll(replayed);
   ASSERT_EQ(outcomes.size(), async_estimates.size());
   for (size_t i = 0; i < outcomes.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok());
@@ -228,7 +233,7 @@ void RunSubmitterStress(size_t pool_threads, BatchScheduler scheduler,
   for (size_t s = 0; s < kSubmitters; ++s) {
     const std::string analyst = "a" + std::to_string(s);
     Result<PrivacyBudget> async_spent = client->ledger().Spent(analyst);
-    Result<PrivacyBudget> replay_spent = (*engine)->ledger().Spent(analyst);
+    Result<PrivacyBudget> replay_spent = (*replay)->ledger().Spent(analyst);
     ASSERT_TRUE(async_spent.ok());
     ASSERT_TRUE(replay_spent.ok());
     EXPECT_EQ(async_spent->epsilon, replay_spent->epsilon) << analyst;
@@ -627,14 +632,19 @@ TEST(FederationClientExactTest, ExactSpecsMatchTheExactBaseline) {
     EXPECT_EQ(exact_resp->spent.epsilon, 0.0);  // no budget for exact
     ASSERT_TRUE(approx_ticket.Wait().ok());
   }
-  // ExecuteExact (the orchestrator surface) runs on the graph too and
-  // must agree.
-  Result<QueryOrchestrator> orch = QueryOrchestrator::Create(
-      Ptrs(providers), BaseConfig(2, BatchScheduler::kTaskGraph));
+  // An exact spec handed to the orchestrator directly runs on the graph
+  // too and must agree.
+  Result<std::vector<std::shared_ptr<ProviderEndpoint>>> endpoints =
+      MakeInProcessEndpoints(Ptrs(providers));
+  ASSERT_TRUE(endpoints.ok());
+  Result<QueryOrchestrator> orch = QueryOrchestrator::CreateFromEndpoints(
+      *endpoints, BaseConfig(2, BatchScheduler::kTaskGraph));
   ASSERT_TRUE(orch.ok());
-  Result<QueryResponse> direct = orch->ExecuteExact(q);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(direct->estimate, expected);
+  std::vector<QueryExecSpec> specs = testutil::ExecSpecs({q});
+  specs[0].exact = true;
+  std::vector<BatchOutcome> direct = orch->ExecuteBatchSpecs(specs);
+  ASSERT_TRUE(direct[0].ok());
+  EXPECT_EQ(direct[0].response.estimate, expected);
 }
 
 // -------------------------------------------------- implicit session release --
@@ -650,7 +660,8 @@ TEST(FederationClientReleaseTest, GraphBatchReleasesEverySession) {
       *endpoints, BaseConfig(4, BatchScheduler::kTaskGraph));
   ASSERT_TRUE(orch.ok());
   std::vector<RangeQuery> queries = {WideQuery(0), WideQuery(1), WideQuery(2)};
-  std::vector<BatchOutcome> outcomes = orch->ExecuteBatch(queries);
+  std::vector<BatchOutcome> outcomes =
+      orch->ExecuteBatchSpecs(testutil::ExecSpecs(queries));
   for (const BatchOutcome& out : outcomes) EXPECT_TRUE(out.ok());
   for (const auto& endpoint : *endpoints) {
     auto* in_process = static_cast<InProcessEndpoint*>(endpoint.get());
@@ -754,7 +765,7 @@ TEST(FederationClientLifecycleTest, DestructionDrainsOutstandingQueries) {
   }
 }
 
-TEST(FederationClientLifecycleTest, UnknownAnalystAndJobsWork) {
+TEST(FederationClientLifecycleTest, UnknownAnalystIsRefused) {
   auto providers = MakeFederation(2);
   FederationClient::Options copts;
   copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
@@ -768,17 +779,6 @@ TEST(FederationClientLifecycleTest, UnknownAnalystAndJobsWork) {
   Result<QueryResponse> resp = (*client)->Submit(std::move(spec)).Wait();
   ASSERT_FALSE(resp.ok());
   EXPECT_EQ(resp.status().code(), StatusCode::kNotFound);
-
-  // RunJob serializes arbitrary orchestrator work into the admission
-  // sequence.
-  double exact = 0.0;
-  Status job = (*client)->RunJob([&](QueryOrchestrator& orch) {
-    Result<QueryResponse> r = orch.ExecuteExact(WideQuery());
-    ASSERT_TRUE(r.ok());
-    exact = r->estimate;
-  });
-  ASSERT_TRUE(job.ok());
-  EXPECT_GT(exact, 0.0);
 }
 
 }  // namespace

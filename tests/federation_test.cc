@@ -10,10 +10,12 @@
 
 #include "common/math.h"
 #include "common/rng.h"
+#include "core/federation.h"
 #include "federation/aggregator.h"
 #include "federation/orchestrator.h"
 #include "federation/provider.h"
 #include "workload/datagen.h"
+#include "client_util.h"
 
 namespace fedaqp {
 namespace {
@@ -58,8 +60,6 @@ class FederationFixture : public ::testing::Test {
     FederationConfig config;
     config.per_query_budget = {1.0, 1e-3};
     config.sampling_rate = 0.2;
-    config.total_xi = 1000.0;
-    config.total_psi = 10.0;
     return config;
   }
 
@@ -237,17 +237,21 @@ TEST(AggregatorTest, CombineSmcAddsSingleCalibratedNoise) {
 // ------------------------------------------------------------ Orchestrator --
 
 TEST_F(FederationFixture, CreateValidatesFederation) {
-  EXPECT_FALSE(QueryOrchestrator::Create({}, DefaultConfig()).ok());
+  FederationClient::Options opts;
+  opts.protocol = DefaultConfig();
+  EXPECT_FALSE(QueryOrchestrator::CreateFromEndpoints({}, opts.protocol).ok());
   EXPECT_FALSE(
-      QueryOrchestrator::Create({nullptr}, DefaultConfig()).ok());
+      QueryOrchestrator::CreateFromEndpoints({nullptr}, opts.protocol).ok());
+  EXPECT_FALSE(
+      FederationClient::Create(std::vector<DataProvider*>{nullptr}, opts).ok());
 
-  FederationConfig bad_rate = DefaultConfig();
-  bad_rate.sampling_rate = 0.0;
-  EXPECT_FALSE(QueryOrchestrator::Create(Ptrs(), bad_rate).ok());
+  FederationClient::Options bad_rate = opts;
+  bad_rate.protocol.sampling_rate = 0.0;
+  EXPECT_FALSE(FederationClient::Create(Ptrs(), bad_rate).ok());
 
-  FederationConfig bad_budget = DefaultConfig();
-  bad_budget.per_query_budget.epsilon = -1.0;
-  EXPECT_FALSE(QueryOrchestrator::Create(Ptrs(), bad_budget).ok());
+  FederationClient::Options bad_budget = opts;
+  bad_budget.protocol.per_query_budget.epsilon = -1.0;
+  EXPECT_FALSE(FederationClient::Create(Ptrs(), bad_budget).ok());
 }
 
 TEST_F(FederationFixture, CreateRejectsMismatchedCapacity) {
@@ -268,18 +272,20 @@ TEST_F(FederationFixture, CreateRejectsMismatchedCapacity) {
   ASSERT_TRUE(odd.ok());
   std::vector<DataProvider*> ptrs = Ptrs();
   ptrs.push_back(odd->get());
-  EXPECT_EQ(QueryOrchestrator::Create(ptrs, DefaultConfig()).status().code(),
+  FederationClient::Options opts;
+  opts.protocol = DefaultConfig();
+  EXPECT_EQ(FederationClient::Create(ptrs, opts).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
-TEST_F(FederationFixture, ExecuteExactMatchesGroundTruth) {
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create(Ptrs(), DefaultConfig());
-  ASSERT_TRUE(orch.ok());
+TEST_F(FederationFixture, ExactQueryMatchesGroundTruth) {
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient(Ptrs(), DefaultConfig());
+  ASSERT_NE(client, nullptr);
   RangeQuery q = WideQuery();
   int64_t truth = 0;
   for (auto* p : Ptrs()) truth += p->store().EvaluateExact(q);
-  Result<QueryResponse> resp = orch->ExecuteExact(q);
+  Result<QueryResponse> resp = testutil::AskExact(client.get(), q);
   ASSERT_TRUE(resp.ok());
   EXPECT_DOUBLE_EQ(resp->estimate, static_cast<double>(truth));
   EXPECT_FALSE(resp->approximated);
@@ -290,14 +296,14 @@ TEST_F(FederationFixture, ExecuteExactMatchesGroundTruth) {
 }
 
 TEST_F(FederationFixture, ExecuteApproximatesAndSavesWork) {
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create(Ptrs(), DefaultConfig());
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient(Ptrs(), DefaultConfig());
+  ASSERT_NE(client, nullptr);
   RangeQuery q = WideQuery();
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = testutil::Ask(client.get(), q);
   ASSERT_TRUE(resp.ok());
   EXPECT_TRUE(resp->approximated);
-  Result<QueryResponse> exact = orch->ExecuteExact(q);
+  Result<QueryResponse> exact = testutil::AskExact(client.get(), q);
   ASSERT_TRUE(exact.ok());
   EXPECT_LT(resp->breakdown.rows_scanned, exact->breakdown.rows_scanned);
   EXPECT_GT(resp->breakdown.network_messages, 0u);
@@ -308,16 +314,17 @@ TEST_F(FederationFixture, ExecuteEstimateIsReasonablyAccurate) {
   FederationConfig config = DefaultConfig();
   config.per_query_budget = {2.0, 1e-3};
   config.sampling_rate = 0.4;
-  Result<QueryOrchestrator> orch = QueryOrchestrator::Create(Ptrs(), config);
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient(Ptrs(), config);
+  ASSERT_NE(client, nullptr);
   RangeQuery q = WideQuery();
-  Result<QueryResponse> exact = orch->ExecuteExact(q);
+  Result<QueryResponse> exact = testutil::AskExact(client.get(), q);
   ASSERT_TRUE(exact.ok());
   // Average several runs to smooth sampling noise.
   double acc = 0.0;
   const int reps = 15;
   for (int i = 0; i < reps; ++i) {
-    Result<QueryResponse> resp = orch->Execute(q);
+    Result<QueryResponse> resp = testutil::Ask(client.get(), q);
     ASSERT_TRUE(resp.ok());
     acc += resp->estimate;
   }
@@ -328,16 +335,16 @@ TEST_F(FederationFixture, ExecuteEstimateIsReasonablyAccurate) {
 TEST_F(FederationFixture, BudgetExhaustionStopsQueries) {
   FederationConfig config = DefaultConfig();
   config.per_query_budget = {1.0, 1e-3};
-  config.total_xi = 2.5;  // admits exactly two queries
-  config.total_psi = 1.0;
-  Result<QueryOrchestrator> orch = QueryOrchestrator::Create(Ptrs(), config);
-  ASSERT_TRUE(orch.ok());
+  // A (2.5, 1.0) grant admits exactly two queries.
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient(Ptrs(), config, 2.5, 1.0);
+  ASSERT_NE(client, nullptr);
   RangeQuery q = WideQuery();
-  EXPECT_TRUE(orch->Execute(q).ok());
-  EXPECT_TRUE(orch->Execute(q).ok());
-  Result<QueryResponse> third = orch->Execute(q);
+  EXPECT_TRUE(testutil::Ask(client.get(), q).ok());
+  EXPECT_TRUE(testutil::Ask(client.get(), q).ok());
+  Result<QueryResponse> third = testutil::Ask(client.get(), q);
   EXPECT_EQ(third.status().code(), StatusCode::kBudgetExhausted);
-  EXPECT_EQ(orch->accountant().num_charges(), 2u);
+  EXPECT_EQ(testutil::NumCharges(*client), 2u);
 }
 
 TEST_F(FederationFixture, SmcModeProducesComparableEstimates) {
@@ -345,15 +352,16 @@ TEST_F(FederationFixture, SmcModeProducesComparableEstimates) {
   config.mode = ReleaseMode::kSmc;
   config.per_query_budget = {2.0, 1e-3};
   config.sampling_rate = 0.4;
-  Result<QueryOrchestrator> orch = QueryOrchestrator::Create(Ptrs(), config);
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient(Ptrs(), config);
+  ASSERT_NE(client, nullptr);
   RangeQuery q = WideQuery();
-  Result<QueryResponse> exact = orch->ExecuteExact(q);
+  Result<QueryResponse> exact = testutil::AskExact(client.get(), q);
   ASSERT_TRUE(exact.ok());
   double acc = 0.0;
   const int reps = 15;
   for (int i = 0; i < reps; ++i) {
-    Result<QueryResponse> resp = orch->Execute(q);
+    Result<QueryResponse> resp = testutil::Ask(client.get(), q);
     ASSERT_TRUE(resp.ok());
     acc += resp->estimate;
   }
@@ -364,15 +372,15 @@ TEST_F(FederationFixture, SmcModeMovesMoreBytesThanDpMode) {
   FederationConfig dp_config = DefaultConfig();
   FederationConfig smc_config = DefaultConfig();
   smc_config.mode = ReleaseMode::kSmc;
-  Result<QueryOrchestrator> dp_orch =
-      QueryOrchestrator::Create(Ptrs(), dp_config);
-  Result<QueryOrchestrator> smc_orch =
-      QueryOrchestrator::Create(Ptrs(), smc_config);
-  ASSERT_TRUE(dp_orch.ok());
-  ASSERT_TRUE(smc_orch.ok());
+  std::unique_ptr<FederationClient> dp_client =
+      testutil::SoloClient(Ptrs(), dp_config);
+  std::unique_ptr<FederationClient> smc_client =
+      testutil::SoloClient(Ptrs(), smc_config);
+  ASSERT_NE(dp_client, nullptr);
+  ASSERT_NE(smc_client, nullptr);
   RangeQuery q = WideQuery();
-  Result<QueryResponse> dp_resp = dp_orch->Execute(q);
-  Result<QueryResponse> smc_resp = smc_orch->Execute(q);
+  Result<QueryResponse> dp_resp = testutil::Ask(dp_client.get(), q);
+  Result<QueryResponse> smc_resp = testutil::Ask(smc_client.get(), q);
   ASSERT_TRUE(dp_resp.ok());
   ASSERT_TRUE(smc_resp.ok());
   EXPECT_GT(smc_resp->breakdown.network_bytes,
@@ -383,8 +391,9 @@ TEST_F(FederationFixture, SmallQueriesTakeExactPath) {
   // A point query covers few clusters; with N_min above that, providers
   // answer exactly and the response is flagged unapproximated.
   FederationConfig config = DefaultConfig();
-  Result<QueryOrchestrator> orch = QueryOrchestrator::Create(Ptrs(), config);
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient(Ptrs(), config);
+  ASSERT_NE(client, nullptr);
   // Find a point query covering < n_min clusters at every provider.
   RangeQuery q;
   bool found = false;
@@ -400,21 +409,74 @@ TEST_F(FederationFixture, SmallQueriesTakeExactPath) {
     }
   }
   if (!found) GTEST_SKIP() << "no sufficiently small query in this layout";
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = testutil::Ask(client.get(), q);
   ASSERT_TRUE(resp.ok());
   EXPECT_FALSE(resp->approximated);
 }
 
 TEST_F(FederationFixture, InvalidQueryRejectedBeforeBudgetSpend) {
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create(Ptrs(), DefaultConfig());
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient(Ptrs(), DefaultConfig());
+  ASSERT_NE(client, nullptr);
   RangeQuery bad = RangeQueryBuilder(Aggregation::kCount)
                        .Where(99, 0, 1)
                        .Build();
-  EXPECT_FALSE(orch->Execute(bad).ok());
-  EXPECT_EQ(orch->accountant().num_charges(), 0u);
-  EXPECT_DOUBLE_EQ(orch->accountant().spent().epsilon, 0.0);
+  EXPECT_FALSE(testutil::Ask(client.get(), bad).ok());
+  EXPECT_EQ(testutil::NumCharges(*client), 0u);
+  EXPECT_DOUBLE_EQ(testutil::Spent(*client).epsilon, 0.0);
+}
+
+// ------------------------------------------------------------- Federation --
+
+// Federation::Query charges Federation::kAnalyst on the federation's own
+// client: the spend is in that client's ledger and audit log (there is no
+// second pool), and replaying the log reproduces the ledger bit-exactly.
+TEST(FederationFacadeTest, QuerySpendIsAuditedAndReplays) {
+  SyntheticConfig cfg;
+  cfg.rows = 8000;
+  cfg.seed = 17;
+  cfg.dims = {{"a", 60, DistributionKind::kNormal, 0.4},
+              {"b", 40, DistributionKind::kZipf, 1.2}};
+  Result<std::vector<Table>> parts = GenerateFederatedTensors(cfg, {0, 1}, 2);
+  ASSERT_TRUE(parts.ok());
+  FederationOptions opts;
+  opts.cluster_capacity = 128;
+  opts.protocol.per_query_budget = {1.0, 1e-3};
+  opts.protocol.sampling_rate = 0.2;
+  opts.protocol.total_xi = 2.5;  // admits exactly two queries
+  opts.protocol.total_psi = 1.0;
+  Result<std::unique_ptr<Federation>> fed =
+      Federation::Open(std::move(parts).value(), opts);
+  ASSERT_TRUE(fed.ok());
+  RangeQuery q =
+      RangeQueryBuilder(Aggregation::kCount).Where(0, 5, 55).Build();
+  ASSERT_TRUE((*fed)->QueryExact(q).ok());
+  ASSERT_TRUE((*fed)->Query(q).ok());
+  std::vector<BatchOutcome> batch = (*fed)->QueryBatch({q, q});
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_TRUE(batch[0].ok());
+  EXPECT_EQ(batch[1].status.code(), StatusCode::kBudgetExhausted);
+
+  FederationClient& client = (*fed)->client();
+  client.WaitIdle();
+  EXPECT_EQ(testutil::NumCharges(client, Federation::kAnalyst), 2u);
+  const std::vector<obs::BudgetAuditLog::Record> records =
+      client.audit_log().ForAnalyst(Federation::kAnalyst);
+  ASSERT_EQ(records.size(), 3u);  // the grant, then the two charges
+  EXPECT_EQ(records[0].kind, obs::BudgetAuditLog::Kind::kRegister);
+  EXPECT_DOUBLE_EQ(records[0].epsilon, 2.5);
+  EXPECT_DOUBLE_EQ(records[1].epsilon, 1.0);
+  EXPECT_DOUBLE_EQ(records[2].epsilon, 1.0);
+
+  AnalystLedger replayed;
+  ASSERT_TRUE(client.audit_log().Replay(&replayed).ok());
+  Result<PrivacyBudget> live = client.ledger().Spent(Federation::kAnalyst);
+  Result<PrivacyBudget> again = replayed.Spent(Federation::kAnalyst);
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(live->epsilon, again->epsilon);
+  EXPECT_EQ(live->delta, again->delta);
+  EXPECT_DOUBLE_EQ(live->epsilon, 2.0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fedaqp.h"
+#include "client_util.h"
 
 namespace fedaqp {
 namespace {
@@ -60,8 +61,9 @@ TEST(IntegrationTest, QuickstartFlow) {
   // Private answer is in the right ballpark (generous: sampling + noise).
   EXPECT_LT(RelativeError(exact->estimate, priv->estimate), 0.8);
   // Privacy was spent on the private path only.
-  EXPECT_DOUBLE_EQ(fed->accountant().spent().epsilon, 1.5);
-  EXPECT_EQ(fed->accountant().num_charges(), 1u);
+  EXPECT_DOUBLE_EQ(
+      testutil::Spent(fed->client(), Federation::kAnalyst).epsilon, 1.5);
+  EXPECT_EQ(testutil::NumCharges(fed->client(), Federation::kAnalyst), 1u);
 }
 
 TEST(IntegrationTest, RepeatedQueriesConvergeNearTruth) {
@@ -131,12 +133,11 @@ TEST(IntegrationTest, WorkloadOverFacadeProviders) {
   FederationConfig config;
   config.sampling_rate = 0.3;
   config.per_query_budget = {2.0, 1e-3};
-  config.total_xi = 1e6;
-  config.total_psi = 1e3;
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create(fed->provider_ptrs(), config);
-  ASSERT_TRUE(orch.ok());
-  Result<std::vector<QueryMeasurement>> ms = RunWorkload(&orch.value(), *queries);
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient(fed->provider_ptrs(), config);
+  ASSERT_NE(client, nullptr);
+  Result<std::vector<QueryMeasurement>> ms =
+      RunWorkload(client.get(), testutil::kAnalyst, *queries);
   ASSERT_TRUE(ms.ok());
   WorkloadMetrics metrics = Summarize(*ms);
   EXPECT_GT(metrics.mean_work_ratio, 1.5);

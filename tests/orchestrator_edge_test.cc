@@ -11,6 +11,7 @@
 #include "common/math.h"
 #include "federation/orchestrator.h"
 #include "workload/datagen.h"
+#include "client_util.h"
 
 namespace fedaqp {
 namespace {
@@ -46,19 +47,17 @@ FederationConfig BaseConfig() {
   FederationConfig config;
   config.per_query_budget = {1.0, 1e-3};
   config.sampling_rate = 0.3;
-  config.total_xi = 1e6;
-  config.total_psi = 1e3;
   return config;
 }
 
 TEST(OrchestratorEdgeTest, SingleProviderFederationWorks) {
   std::unique_ptr<DataProvider> p = MakeProvider(8000, 11);
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create({p.get()}, BaseConfig());
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient({p.get()}, BaseConfig());
+  ASSERT_NE(client, nullptr);
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build();
-  Result<QueryResponse> exact = orch->ExecuteExact(q);
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> exact = testutil::AskExact(client.get(), q);
+  Result<QueryResponse> resp = testutil::Ask(client.get(), q);
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(resp.ok());
   EXPECT_GT(exact->estimate, 0.0);
@@ -70,11 +69,11 @@ TEST(OrchestratorEdgeTest, TinyProviderAlwaysTakesExactPath) {
   // A provider with fewer clusters than N_min never approximates.
   std::unique_ptr<DataProvider> tiny = MakeProvider(200, 13, 128, 50);
   ASSERT_LT(tiny->store().num_clusters(), 50u);
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create({tiny.get()}, BaseConfig());
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient({tiny.get()}, BaseConfig());
+  ASSERT_NE(client, nullptr);
   RangeQuery q = RangeQueryBuilder(Aggregation::kCount).Where(0, 0, 199).Build();
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = testutil::Ask(client.get(), q);
   ASSERT_TRUE(resp.ok());
   EXPECT_FALSE(resp->approximated);
 }
@@ -84,13 +83,13 @@ TEST(OrchestratorEdgeTest, HeterogeneousProviderSizesAllowed) {
   // the big provider should receive the larger allocation on average.
   std::unique_ptr<DataProvider> small = MakeProvider(3000, 17);
   std::unique_ptr<DataProvider> big = MakeProvider(30000, 19);
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create({small.get(), big.get()}, BaseConfig());
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient({small.get(), big.get()}, BaseConfig());
+  ASSERT_NE(client, nullptr);
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 0, 199).Build();
   size_t small_total = 0, big_total = 0;
   for (int rep = 0; rep < 20; ++rep) {
-    Result<QueryResponse> resp = orch->Execute(q);
+    Result<QueryResponse> resp = testutil::Ask(client.get(), q);
     ASSERT_TRUE(resp.ok());
     small_total += resp->allocation[0];
     big_total += resp->allocation[1];
@@ -100,31 +99,31 @@ TEST(OrchestratorEdgeTest, HeterogeneousProviderSizesAllowed) {
 
 TEST(OrchestratorEdgeTest, EmptyRangeListMatchesWholeTable) {
   std::unique_ptr<DataProvider> p = MakeProvider(5000, 23);
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create({p.get()}, BaseConfig());
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient({p.get()}, BaseConfig());
+  ASSERT_NE(client, nullptr);
   RangeQuery q(Aggregation::kSum, {});
-  Result<QueryResponse> exact = orch->ExecuteExact(q);
+  Result<QueryResponse> exact = testutil::AskExact(client.get(), q);
   ASSERT_TRUE(exact.ok());
   EXPECT_DOUBLE_EQ(exact->estimate, 5000.0);  // total individuals
 }
 
 TEST(OrchestratorEdgeTest, StderrReportedInDpMode) {
   std::unique_ptr<DataProvider> p = MakeProvider(20000, 29);
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create({p.get()}, BaseConfig());
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient({p.get()}, BaseConfig());
+  ASSERT_NE(client, nullptr);
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build();
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = testutil::Ask(client.get(), q);
   ASSERT_TRUE(resp.ok());
   EXPECT_GT(resp->stderr_estimate, 0.0);
   // The stderr should be a plausible scale for the deviation: over many
   // runs, |error| < 6 * stderr nearly always.
-  Result<QueryResponse> exact = orch->ExecuteExact(q);
+  Result<QueryResponse> exact = testutil::AskExact(client.get(), q);
   ASSERT_TRUE(exact.ok());
   int within = 0, total = 0;
   for (int rep = 0; rep < 25; ++rep) {
-    Result<QueryResponse> r = orch->Execute(q);
+    Result<QueryResponse> r = testutil::Ask(client.get(), q);
     ASSERT_TRUE(r.ok());
     if (std::abs(r->estimate - exact->estimate) <= 6.0 * r->stderr_estimate) {
       ++within;
@@ -138,11 +137,11 @@ TEST(OrchestratorEdgeTest, SmcModeReportsNoStderr) {
   std::unique_ptr<DataProvider> p = MakeProvider(20000, 31);
   FederationConfig config = BaseConfig();
   config.mode = ReleaseMode::kSmc;
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create({p.get()}, config);
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient({p.get()}, config);
+  ASSERT_NE(client, nullptr);
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build();
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = testutil::Ask(client.get(), q);
   ASSERT_TRUE(resp.ok());
   EXPECT_DOUBLE_EQ(resp->stderr_estimate, 0.0);
 }
@@ -150,17 +149,17 @@ TEST(OrchestratorEdgeTest, SmcModeReportsNoStderr) {
 TEST(OrchestratorEdgeTest, MessageCountMatchesProtocolRounds) {
   std::unique_ptr<DataProvider> a = MakeProvider(20000, 37);
   std::unique_ptr<DataProvider> b = MakeProvider(20000, 41);
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create({a.get(), b.get()}, BaseConfig());
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient({a.get(), b.get()}, BaseConfig());
+  ASSERT_NE(client, nullptr);
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build();
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = testutil::Ask(client.get(), q);
   ASSERT_TRUE(resp.ok());
   // DP mode charges the real RPC exchange: two round trips per provider
   // (open request/reply, estimate request/reply; the estimate ends the
   // session, so no release round), 2 providers x 2 rounds x 2 messages.
   EXPECT_EQ(resp->breakdown.network_messages, 8u);
-  Result<QueryResponse> exact = orch->ExecuteExact(q);
+  Result<QueryResponse> exact = testutil::AskExact(client.get(), q);
   ASSERT_TRUE(exact.ok());
   // Exact: scan request broadcast + framed replies.
   EXPECT_EQ(exact->breakdown.network_messages, 4u);
@@ -168,13 +167,13 @@ TEST(OrchestratorEdgeTest, MessageCountMatchesProtocolRounds) {
 
 TEST(OrchestratorEdgeTest, SumSquaresQueriesRunEndToEnd) {
   std::unique_ptr<DataProvider> p = MakeProvider(20000, 43);
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create({p.get()}, BaseConfig());
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient({p.get()}, BaseConfig());
+  ASSERT_NE(client, nullptr);
   RangeQuery q =
       RangeQueryBuilder(Aggregation::kSumSquares).Where(0, 0, 199).Build();
-  Result<QueryResponse> exact = orch->ExecuteExact(q);
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> exact = testutil::AskExact(client.get(), q);
+  Result<QueryResponse> resp = testutil::Ask(client.get(), q);
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(resp.ok());
   EXPECT_GT(exact->estimate, 0.0);
@@ -187,11 +186,11 @@ TEST(OrchestratorEdgeTest, AllocationSumMatchesPlanTotal) {
   std::unique_ptr<DataProvider> a = MakeProvider(15000, 47);
   std::unique_ptr<DataProvider> b = MakeProvider(15000, 53);
   std::unique_ptr<DataProvider> c = MakeProvider(15000, 59);
-  Result<QueryOrchestrator> orch = QueryOrchestrator::Create(
-      {a.get(), b.get(), c.get()}, BaseConfig());
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient({a.get(), b.get(), c.get()}, BaseConfig());
+  ASSERT_NE(client, nullptr);
   RangeQuery q = RangeQueryBuilder(Aggregation::kCount).Where(0, 0, 199).Build();
-  Result<QueryResponse> resp = orch->Execute(q);
+  Result<QueryResponse> resp = testutil::Ask(client.get(), q);
   ASSERT_TRUE(resp.ok());
   ASSERT_EQ(resp->allocation.size(), 3u);
   size_t total = 0;
@@ -206,21 +205,19 @@ TEST(OrchestratorEdgeTest, ResponsesAreDeterministicGivenSeeds) {
     FederationConfig config;
     config.per_query_budget = {1.0, 1e-3};
     config.sampling_rate = 0.3;
-    config.total_xi = 1e6;
-    config.total_psi = 1e3;
     config.seed = 99;
     return std::make_pair(std::move(p), config);
   };
   auto [p1, c1] = build();
   auto [p2, c2] = build();
-  Result<QueryOrchestrator> o1 = QueryOrchestrator::Create({p1.get()}, c1);
-  Result<QueryOrchestrator> o2 = QueryOrchestrator::Create({p2.get()}, c2);
-  ASSERT_TRUE(o1.ok());
-  ASSERT_TRUE(o2.ok());
+  std::unique_ptr<FederationClient> o1 = testutil::SoloClient({p1.get()}, c1);
+  std::unique_ptr<FederationClient> o2 = testutil::SoloClient({p2.get()}, c2);
+  ASSERT_NE(o1, nullptr);
+  ASSERT_NE(o2, nullptr);
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build();
   for (int rep = 0; rep < 3; ++rep) {
-    Result<QueryResponse> r1 = o1->Execute(q);
-    Result<QueryResponse> r2 = o2->Execute(q);
+    Result<QueryResponse> r1 = testutil::Ask(o1.get(), q);
+    Result<QueryResponse> r2 = testutil::Ask(o2.get(), q);
     ASSERT_TRUE(r1.ok());
     ASSERT_TRUE(r2.ok());
     EXPECT_DOUBLE_EQ(r1->estimate, r2->estimate);

@@ -12,13 +12,13 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/query_engine.h"
 #include "federation/orchestrator.h"
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
 #include "rpc/transport.h"
 #include "rpc/wire.h"
 #include "workload/datagen.h"
+#include "client_util.h"
 
 namespace fedaqp {
 namespace {
@@ -49,8 +49,6 @@ FederationConfig BaseConfig() {
   FederationConfig config;
   config.per_query_budget = {1.0, 1e-3};
   config.sampling_rate = 0.3;
-  config.total_xi = 1e6;
-  config.total_psi = 1e3;
   config.seed = 77;
   return config;
 }
@@ -121,17 +119,17 @@ TEST_F(RpcLoopbackTest, LoopbackFederationIsBitIdenticalToInProcess) {
       ConnectRemote();
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
 
-  Result<QueryOrchestrator> local =
-      QueryOrchestrator::Create(Ptrs(), BaseConfig());
-  Result<QueryOrchestrator> over_wire =
-      QueryOrchestrator::CreateFromEndpoints(std::move(remote).value(),
-                                             BaseConfig());
-  ASSERT_TRUE(local.ok());
-  ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
+  std::unique_ptr<FederationClient> local =
+      testutil::SoloClient(Ptrs(), BaseConfig());
+  std::unique_ptr<FederationClient> over_wire =
+      testutil::SoloClientFromEndpoints(std::move(remote).value(),
+                                        BaseConfig());
+  ASSERT_NE(local, nullptr);
+  ASSERT_NE(over_wire, nullptr);
 
   for (const RangeQuery& q : Workload()) {
-    Result<QueryResponse> a = local->Execute(q);
-    Result<QueryResponse> b = over_wire->Execute(q);
+    Result<QueryResponse> a = testutil::Ask(local.get(), q);
+    Result<QueryResponse> b = testutil::Ask(over_wire.get(), q);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     // Bit-identical, not approximately equal: the wire codec moves raw
@@ -150,47 +148,50 @@ TEST_F(RpcLoopbackTest, LoopbackFederationIsBitIdenticalToInProcess) {
     EXPECT_EQ(a->breakdown.network_bytes, b->breakdown.network_bytes);
     EXPECT_EQ(a->breakdown.network_messages, b->breakdown.network_messages);
 
-    Result<QueryResponse> ea = local->ExecuteExact(q);
-    Result<QueryResponse> eb = over_wire->ExecuteExact(q);
+    Result<QueryResponse> ea = testutil::AskExact(local.get(), q);
+    Result<QueryResponse> eb = testutil::AskExact(over_wire.get(), q);
     ASSERT_TRUE(ea.ok());
     ASSERT_TRUE(eb.ok());
     EXPECT_EQ(ea->estimate, eb->estimate);
   }
-  // Ledger state: both accountants saw the same admitted sequence.
-  EXPECT_EQ(local->accountant().spent().epsilon,
-            over_wire->accountant().spent().epsilon);
-  EXPECT_EQ(local->accountant().spent().delta,
-            over_wire->accountant().spent().delta);
-  EXPECT_EQ(local->accountant().num_charges(),
-            over_wire->accountant().num_charges());
+  // Ledger state: both ledgers saw the same admitted sequence.
+  EXPECT_EQ(testutil::Spent(*local).epsilon,
+            testutil::Spent(*over_wire).epsilon);
+  EXPECT_EQ(testutil::Spent(*local).delta,
+            testutil::Spent(*over_wire).delta);
+  EXPECT_EQ(testutil::NumCharges(*local),
+            testutil::NumCharges(*over_wire));
 }
 
-TEST_F(RpcLoopbackTest, BatchedEnginePathIsBitIdenticalOverLoopback) {
+TEST_F(RpcLoopbackTest, BatchedClientPathIsBitIdenticalOverLoopback) {
   Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
       ConnectRemote();
   ASSERT_TRUE(remote.ok());
 
-  QueryEngineOptions opts;
+  FederationClient::Options opts;
   opts.protocol = BaseConfig();
   opts.protocol.num_threads = 4;  // Pool pipelining must survive the wire.
   opts.analysts = {{"ana", 50.0, 0.5}, {"bob", 2.5, 0.1}};
 
-  Result<std::unique_ptr<QueryEngine>> local_engine =
-      QueryEngine::Create(Ptrs(), opts);
-  Result<std::unique_ptr<QueryEngine>> wire_engine =
-      QueryEngine::Create(std::move(remote).value(), opts);
-  ASSERT_TRUE(local_engine.ok());
-  ASSERT_TRUE(wire_engine.ok()) << wire_engine.status().ToString();
+  Result<std::unique_ptr<FederationClient>> local_client =
+      FederationClient::Create(Ptrs(), opts);
+  Result<std::unique_ptr<FederationClient>> wire_client =
+      FederationClient::Create(std::move(remote).value(), opts);
+  ASSERT_TRUE(local_client.ok());
+  ASSERT_TRUE(wire_client.ok()) << wire_client.status().ToString();
 
-  std::vector<AnalystQuery> batch;
+  std::vector<QuerySpec> batch;
   for (const RangeQuery& q : Workload()) {
-    batch.push_back({"ana", q});
-    batch.push_back({"bob", q});
+    batch.push_back(testutil::Spec("ana", q));
+    batch.push_back(testutil::Spec("bob", q));
   }
-  batch.push_back({"mallory", Workload()[0]});  // unknown analyst
+  batch.push_back(testutil::Spec("mallory", Workload()[0]));  // unknown
 
-  std::vector<BatchOutcome> a = (*local_engine)->ExecuteBatch(batch);
-  std::vector<BatchOutcome> b = (*wire_engine)->ExecuteBatch(batch);
+  // One batch at a time: both paths drive the same provider instances.
+  std::vector<QueryTicket> local_tickets = (*local_client)->SubmitAll(batch);
+  std::vector<BatchOutcome> a = WaitAll(local_tickets);
+  std::vector<QueryTicket> wire_tickets = (*wire_client)->SubmitAll(batch);
+  std::vector<BatchOutcome> b = WaitAll(wire_tickets);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].status.code(), b[i].status.code()) << "entry " << i;
@@ -201,8 +202,8 @@ TEST_F(RpcLoopbackTest, BatchedEnginePathIsBitIdenticalOverLoopback) {
     }
   }
   for (const std::string& analyst : {"ana", "bob"}) {
-    Result<PrivacyBudget> sa = (*local_engine)->ledger().Spent(analyst);
-    Result<PrivacyBudget> sb = (*wire_engine)->ledger().Spent(analyst);
+    Result<PrivacyBudget> sa = (*local_client)->ledger().Spent(analyst);
+    Result<PrivacyBudget> sb = (*wire_client)->ledger().Spent(analyst);
     ASSERT_TRUE(sa.ok());
     ASSERT_TRUE(sb.ok());
     EXPECT_EQ(sa->epsilon, sb->epsilon);
@@ -218,10 +219,10 @@ TEST_F(RpcLoopbackTest, RealWireBytesEqualSimNetworkCharges) {
   for (auto& e : *remote) {
     raw.push_back(static_cast<RemoteEndpoint*>(e.get()));
   }
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::CreateFromEndpoints(std::move(remote).value(),
-                                             BaseConfig());
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClientFromEndpoints(std::move(remote).value(),
+                                        BaseConfig());
+  ASSERT_NE(client, nullptr);
 
   // Baseline after the connect-time kInfo handshake (which SimNetwork,
   // modeling only the per-query protocol, deliberately does not charge).
@@ -230,7 +231,7 @@ TEST_F(RpcLoopbackTest, RealWireBytesEqualSimNetworkCharges) {
 
   uint64_t charged = 0;
   for (const RangeQuery& q : Workload()) {
-    Result<QueryResponse> resp = orch->Execute(q);
+    Result<QueryResponse> resp = testutil::Ask(client.get(), q);
     ASSERT_TRUE(resp.ok());
     charged += resp->breakdown.network_bytes;
   }
@@ -240,7 +241,7 @@ TEST_F(RpcLoopbackTest, RealWireBytesEqualSimNetworkCharges) {
     moved += e->bytes_sent() + e->bytes_received();
     overhead += e->batch_overhead_bytes();
   }
-  // Sequential Execute() calls never coalesce, so the overhead term is
+  // Sequential Submit + Wait calls never coalesce, so the overhead term is
   // expected to be zero here — asserting it keeps the stronger claim
   // that a lone call's wire traffic is byte-identical to the unbatched
   // protocol.

@@ -15,6 +15,7 @@
 #include "federation/orchestrator.h"
 #include "rpc/wire.h"
 #include "workload/datagen.h"
+#include "client_util.h"
 
 namespace fedaqp {
 namespace {
@@ -442,11 +443,9 @@ TEST(RpcWireTest, OrchestratorChargesExactlyTheCodecSizes) {
   std::unique_ptr<DataProvider> b = MakeProvider(20000, 9);
   FederationConfig config;
   config.sampling_rate = 0.3;
-  config.total_xi = 1e6;
-  config.total_psi = 1e3;
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create({a.get(), b.get()}, config);
-  ASSERT_TRUE(orch.ok());
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient({a.get(), b.get()}, config);
+  ASSERT_NE(client, nullptr);
 
   const size_t n = 2;
   for (const RangeQuery& q :
@@ -462,7 +461,7 @@ TEST(RpcWireTest, OrchestratorChargesExactlyTheCodecSizes) {
                       ? WireSize(ApproximateRequest{})
                       : WireSize(ExactAnswerRequest{});
     }
-    Result<QueryResponse> resp = orch->Execute(q);
+    Result<QueryResponse> resp = testutil::Ask(client.get(), q);
     ASSERT_TRUE(resp.ok());
     // Two round trips per provider: Open, then the estimate (which ends
     // the session — no release round).
@@ -471,11 +470,12 @@ TEST(RpcWireTest, OrchestratorChargesExactlyTheCodecSizes) {
              WireSize(OpenReply{}) + WireSize(EstimateReply{})) +
         phase2[0] + phase2[1];
     EXPECT_EQ(resp->breakdown.network_bytes, expected)
-        << q.ToString(orch->schema());
+        << q.ToString(client->schema());
     EXPECT_EQ(resp->breakdown.network_messages, 4 * n);
   }
 
-  Result<QueryResponse> exact = orch->ExecuteExact(
+  Result<QueryResponse> exact = testutil::AskExact(
+      client.get(),
       RangeQueryBuilder(Aggregation::kSum).Where(0, 20, 180).Build());
   ASSERT_TRUE(exact.ok());
   uint64_t expected_exact =

@@ -17,6 +17,7 @@
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
 #include "workload/datagen.h"
+#include "client_util.h"
 
 namespace fedaqp {
 namespace {
@@ -46,8 +47,6 @@ FederationConfig Config(BatchScheduler scheduler) {
   FederationConfig config;
   config.per_query_budget = {1.0, 1e-3};
   config.sampling_rate = 0.3;
-  config.total_xi = 1e6;
-  config.total_psi = 1e3;
   config.seed = 77;
   config.num_threads = 4;
   config.scheduler = scheduler;
@@ -199,7 +198,8 @@ TEST_F(SessionReleaseTest, FinishedBatchLeavesNoSessionsAndSendsNoEndQuery) {
       Result<QueryOrchestrator> orch = QueryOrchestrator::CreateFromEndpoints(
           path.endpoints, Config(scheduler));
       ASSERT_TRUE(orch.ok()) << orch.status().ToString();
-      for (const BatchOutcome& out : orch->ExecuteBatch(batch)) {
+      const std::vector<QueryExecSpec> specs = testutil::ExecSpecs(batch);
+      for (const BatchOutcome& out : orch->ExecuteBatchSpecs(specs)) {
         ASSERT_TRUE(out.ok()) << path.name << ": " << out.status.ToString();
       }
       EXPECT_EQ(path.open_sessions(), 0u) << path.name;
@@ -260,7 +260,8 @@ TEST_F(SessionReleaseTest, MidBatchProviderFailureLeavesNoSessions) {
       Result<QueryOrchestrator> orch = QueryOrchestrator::CreateFromEndpoints(
           Upcast(hooked), Config(scheduler));
       ASSERT_TRUE(orch.ok());
-      std::vector<BatchOutcome> outcomes = orch->ExecuteBatch(Batch());
+      std::vector<BatchOutcome> outcomes =
+          orch->ExecuteBatchSpecs(testutil::ExecSpecs(Batch()));
       EXPECT_TRUE(outcomes[0].ok()) << path.name;
       EXPECT_EQ(outcomes[1].status.code(), StatusCode::kInvalidArgument)
           << path.name << ": " << outcomes[1].status.ToString();
@@ -287,7 +288,8 @@ TEST_F(SessionReleaseTest, AllocationFailureLeavesNoSessions) {
           Upcast(hooked), Config(scheduler));
       ASSERT_TRUE(orch.ok());
       const uint64_t end_queries = Frames(RpcMethod::kEndQuery);
-      std::vector<BatchOutcome> outcomes = orch->ExecuteBatch(Batch());
+      std::vector<BatchOutcome> outcomes =
+          orch->ExecuteBatchSpecs(testutil::ExecSpecs(Batch()));
       EXPECT_TRUE(outcomes[0].ok()) << path.name;
       EXPECT_EQ(outcomes[1].status.code(), StatusCode::kInvalidArgument)
           << path.name << ": " << outcomes[1].status.ToString();

@@ -632,6 +632,34 @@ TEST_F(MappedStoreTest, RejectsCorruptedFiles) {
             StatusCode::kNotFound);
 }
 
+// A hostile schema count must fail fast with a Status: the shared schema
+// codec refuses a count the remaining bytes cannot hold before reading a
+// single dimension.
+TEST_F(MappedStoreTest, HostileSchemaCountOpensToStatus) {
+  Table t = WideTable(300, 61);
+  ClusterStoreOptions opts;
+  opts.cluster_capacity = 100;
+  Result<ClusterStore> built = ClusterStore::Build(t, opts);
+  ASSERT_TRUE(built.ok());
+  std::string path = Path("hostile_schema_src");
+  ASSERT_TRUE(built->SaveMapped(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  // Header: magic u32, version u32, capacity, clusters, rows, measure
+  // (u64 each); the schema's u32 dimension count follows at offset 40.
+  ASSERT_GT(bytes.size(), 44u);
+  for (size_t i = 40; i < 44; ++i) bytes[i] = static_cast<char>(0xFF);
+  std::string hostile = Path("hostile_schema");
+  {
+    std::ofstream out(hostile, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  Result<ClusterStore> opened = ClusterStore::OpenMapped(hostile);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kOutOfRange);
+}
+
 TEST_F(MappedStoreTest, BytesMappedAccountingRisesAndFalls) {
   Table t = WideTable(800, 61);
   ClusterStoreOptions opts;

@@ -18,13 +18,13 @@
 
 #include "common/stopwatch.h"
 #include "exec/in_process_endpoint.h"
-#include "exec/query_engine.h"
 #include "exec/task_graph.h"
 #include "exec/thread_pool.h"
 #include "federation/orchestrator.h"
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
 #include "workload/datagen.h"
+#include "client_util.h"
 
 namespace fedaqp {
 namespace {
@@ -448,7 +448,8 @@ TEST(TaskGraphTest, AsyncIssueOverlapsSlowEndpointsDespiteOnePoolWorker) {
   RangeQuery q = RangeQueryBuilder(Aggregation::kCount).Where(0, 0, 50).Build();
 
   Stopwatch timer;
-  std::vector<BatchOutcome> outcomes = orch->ExecuteBatch({q, q});
+  std::vector<BatchOutcome> outcomes =
+      orch->ExecuteBatchSpecs(testutil::ExecSpecs({q, q}));
   const double seconds = timer.ElapsedSeconds();
   for (const auto& out : outcomes) ASSERT_TRUE(out.ok());
   // Serial cost: 4 endpoints x 2 queries x (Cover 30ms + Approximate
@@ -512,8 +513,6 @@ FederationConfig BaseConfig(size_t threads, size_t shards,
   FederationConfig config;
   config.per_query_budget = {1.0, 1e-3};
   config.sampling_rate = 0.3;
-  config.total_xi = 1e6;
-  config.total_psi = 1e3;
   config.seed = 515;
   config.num_threads = threads;
   config.num_scan_shards = shards;
@@ -552,10 +551,10 @@ struct Fingerprint {
 Fingerprint RunBatch(const FederationConfig& config,
                      const std::vector<RangeQuery>& queries) {
   auto providers = MakeFederation(3);
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create(Ptrs(providers), config);
-  EXPECT_TRUE(orch.ok());
-  std::vector<BatchOutcome> outcomes = orch->ExecuteBatch(queries);
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient(Ptrs(providers), config);
+  EXPECT_NE(client, nullptr);
+  std::vector<BatchOutcome> outcomes = testutil::AskAll(client.get(), queries);
   Fingerprint fp;
   for (const auto& out : outcomes) {
     EXPECT_TRUE(out.ok()) << out.status.ToString();
@@ -565,7 +564,7 @@ Fingerprint RunBatch(const FederationConfig& config,
     fp.network_bytes.push_back(out.response.breakdown.network_bytes);
     fp.network_messages.push_back(out.response.breakdown.network_messages);
   }
-  fp.spent_epsilon = orch->accountant().spent().epsilon;
+  fp.spent_epsilon = testutil::Spent(*client).epsilon;
   return fp;
 }
 
@@ -596,11 +595,11 @@ TEST(TaskGraphDeterminismTest, BitIdenticalToBarrierAcrossPoolsAndShards) {
 
   // Sequential one-at-a-time execution ties the knot: same answers again.
   auto providers = MakeFederation(3);
-  Result<QueryOrchestrator> seq = QueryOrchestrator::Create(
+  std::unique_ptr<FederationClient> seq = testutil::SoloClient(
       Ptrs(providers), BaseConfig(1, 1, BatchScheduler::kTaskGraph));
-  ASSERT_TRUE(seq.ok());
+  ASSERT_NE(seq, nullptr);
   for (size_t i = 0; i < queries.size(); ++i) {
-    Result<QueryResponse> resp = seq->Execute(queries[i]);
+    Result<QueryResponse> resp = testutil::Ask(seq.get(), queries[i]);
     ASSERT_TRUE(resp.ok());
     EXPECT_DOUBLE_EQ(resp->estimate, reference.estimates[i]) << "query " << i;
   }
@@ -635,30 +634,31 @@ TEST(TaskGraphDeterminismTest, SmcModeKeepsAggregatorStreamOrder) {
   }
 }
 
-// Per-analyst ledger charges are part of the pinned surface: the engine's
+// Per-analyst ledger charges are part of the pinned surface: the client's
 // admission refusals and spends must not depend on the scheduler.
-TEST(TaskGraphDeterminismTest, EngineLedgersMatchAcrossSchedulers) {
+TEST(TaskGraphDeterminismTest, ClientLedgersMatchAcrossSchedulers) {
   auto run = [](BatchScheduler scheduler, size_t threads) {
     auto providers = MakeFederation(3);
-    QueryEngineOptions opts;
+    FederationClient::Options opts;
     opts.protocol = BaseConfig(threads, 3, scheduler);
     opts.analysts = {{"alice", 1e6, 1e3}, {"bob", 2.5, 1.0}};
-    Result<std::unique_ptr<QueryEngine>> engine =
-        QueryEngine::Create(Ptrs(providers), opts);
-    EXPECT_TRUE(engine.ok());
-    std::vector<AnalystQuery> batch;
+    Result<std::unique_ptr<FederationClient>> client =
+        FederationClient::Create(Ptrs(providers), opts);
+    EXPECT_TRUE(client.ok());
+    std::vector<QuerySpec> batch;
     for (const RangeQuery& q : MixedWorkload()) {
-      batch.push_back({"alice", q});
-      batch.push_back({"bob", q});  // bob exhausts after two queries
+      batch.push_back(testutil::Spec("alice", q));
+      batch.push_back(testutil::Spec("bob", q));  // bob exhausts after two
     }
-    std::vector<BatchOutcome> outcomes = (*engine)->ExecuteBatch(batch);
+    std::vector<QueryTicket> tickets = (*client)->SubmitAll(std::move(batch));
+    std::vector<BatchOutcome> outcomes = WaitAll(tickets);
     std::vector<std::pair<int, double>> fingerprint;
     for (const auto& out : outcomes) {
       fingerprint.emplace_back(static_cast<int>(out.status.code()),
                                out.ok() ? out.response.estimate : 0.0);
     }
-    Result<PrivacyBudget> alice = (*engine)->ledger().Spent("alice");
-    Result<PrivacyBudget> bob = (*engine)->ledger().Spent("bob");
+    Result<PrivacyBudget> alice = (*client)->ledger().Spent("alice");
+    Result<PrivacyBudget> bob = (*client)->ledger().Spent("bob");
     EXPECT_TRUE(alice.ok());
     EXPECT_TRUE(bob.ok());
     fingerprint.emplace_back(-1, alice->epsilon);
@@ -718,7 +718,7 @@ TEST(TaskGraphDeterminismTest, MidBatchProviderFailureMatchesBarrier) {
         endpoints, BaseConfig(threads, 1, scheduler));
     EXPECT_TRUE(orch.ok());
     std::vector<BatchOutcome> outcomes =
-        orch->ExecuteBatch(MixedWorkload());
+        orch->ExecuteBatchSpecs(testutil::ExecSpecs(MixedWorkload()));
     std::vector<std::pair<int, double>> fingerprint;
     for (const auto& out : outcomes) {
       fingerprint.emplace_back(static_cast<int>(out.status.code()),
@@ -771,11 +771,11 @@ TEST_F(TaskGraphLoopbackTest, PipelinedLoopbackMatchesInProcessBarrier) {
 
   std::vector<DataProvider*> raw;
   for (auto& p : providers_) raw.push_back(p.get());
-  Result<QueryOrchestrator> reference_orch = QueryOrchestrator::Create(
+  std::unique_ptr<FederationClient> reference_client = testutil::SoloClient(
       raw, BaseConfig(1, 1, BatchScheduler::kPhaseBarrier));
-  ASSERT_TRUE(reference_orch.ok());
+  ASSERT_NE(reference_client, nullptr);
   std::vector<BatchOutcome> reference =
-      reference_orch->ExecuteBatch(queries);
+      testutil::AskAll(reference_client.get(), queries);
 
   for (size_t threads : {1u, 2u, 8u}) {
     for (size_t shards : {1u, 16u}) {
@@ -786,7 +786,8 @@ TEST_F(TaskGraphLoopbackTest, PipelinedLoopbackMatchesInProcessBarrier) {
           std::move(remote).value(),
           BaseConfig(threads, shards, BatchScheduler::kTaskGraph));
       ASSERT_TRUE(orch.ok()) << orch.status().ToString();
-      std::vector<BatchOutcome> outcomes = orch->ExecuteBatch(queries);
+      std::vector<BatchOutcome> outcomes =
+          orch->ExecuteBatchSpecs(testutil::ExecSpecs(queries));
       ASSERT_EQ(outcomes.size(), reference.size());
       for (size_t i = 0; i < outcomes.size(); ++i) {
         ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].status.ToString();
@@ -825,7 +826,8 @@ TEST_F(TaskGraphLoopbackTest, PipelinedWireBytesEqualCharges) {
   uint64_t base = 0;
   for (auto* e : raw) base += e->bytes_sent() + e->bytes_received();
   uint64_t charged = 0;
-  std::vector<BatchOutcome> outcomes = orch->ExecuteBatch(MixedWorkload());
+  std::vector<BatchOutcome> outcomes =
+      orch->ExecuteBatchSpecs(testutil::ExecSpecs(MixedWorkload()));
   for (const auto& out : outcomes) {
     ASSERT_TRUE(out.ok());
     charged += out.response.breakdown.network_bytes;

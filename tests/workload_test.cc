@@ -13,6 +13,7 @@
 #include "workload/distributions.h"
 #include "workload/query_gen.h"
 #include "workload/workload.h"
+#include "client_util.h"
 
 namespace fedaqp {
 namespace {
@@ -229,13 +230,13 @@ TEST(WorkloadRunnerTest, MeasuresErrorAndSpeedup) {
   Result<std::vector<RangeQuery>> queries = gen.Workload(10);
   ASSERT_TRUE(queries.ok());
 
-  // Need direct orchestrator access: run through the facade's providers.
-  FederationConfig config = fopts.protocol;
-  Result<QueryOrchestrator> orch =
-      QueryOrchestrator::Create((*fed)->provider_ptrs(), config);
-  ASSERT_TRUE(orch.ok());
+  // A fresh client over the facade's providers, with the facade's
+  // protocol options as given (the facade's own client derives its seed).
+  std::unique_ptr<FederationClient> client =
+      testutil::SoloClient((*fed)->provider_ptrs(), fopts.protocol);
+  ASSERT_NE(client, nullptr);
   Result<std::vector<QueryMeasurement>> results =
-      RunWorkload(&orch.value(), *queries);
+      RunWorkload(client.get(), testutil::kAnalyst, *queries);
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), 10u);
   for (const auto& m : *results) {

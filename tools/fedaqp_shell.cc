@@ -139,8 +139,6 @@ struct ShellState {
     config.per_query_budget = per_query;
     config.sampling_rate = sampling_rate;
     config.mode = mode;
-    config.total_xi = xi;
-    config.total_psi = psi;
     config.num_threads = num_threads;
     config.num_scan_shards = num_scan_shards;
     config.scheduler = scheduler;
@@ -981,17 +979,6 @@ int Run() {
             counter("cache.partial_compositions"), counter("cache.misses"),
             counter("cache.invalidated"));
       }
-      // Derived workloads (groupby) charge the orchestrator's own
-      // accountant, a separate (xi, psi) pool from the per-analyst
-      // ledger above — show it too so no spend is invisible.
-      state.client->WaitIdle();
-      const PrivacyAccountant& acct =
-          state.client->orchestrator().accountant();
-      std::printf(
-          "  %-10s spent (eps=%.4f, delta=%.6f) of (xi=%.2f, psi=%.4f), "
-          "%zu queries\n",
-          "[groupby]", acct.spent().epsilon, acct.spent().delta,
-          acct.total().epsilon, acct.total().delta, acct.num_charges());
       std::printf("sr=%.2f; mode=%s; sched=%s; %llu admission rounds\n",
                   state.sampling_rate,
                   state.mode == ReleaseMode::kSmc ? "smc" : "dp",
@@ -1154,17 +1141,10 @@ int Run() {
       Result<RangeQuery> base = ParseQuery(*agg, &in);
       GroupByOptions gbo;
       gbo.group_dim = static_cast<size_t>(gdim);
-      // Derived workloads drive the orchestrator directly; RunJob
-      // serializes that into the client's admission sequence (the
-      // orchestrator itself is not thread-safe).
-      Result<GroupByResult> grouped = Status::Internal("groupby did not run");
-      Status job = state.client->RunJob([&](QueryOrchestrator& orch) {
-        grouped = PrivateGroupBy(&orch, *base, gbo);
-      });
-      if (!job.ok()) {
-        std::printf("error: %s\n", job.ToString().c_str());
-        continue;
-      }
+      // Every bucket is a query the shell analyst submits and is charged
+      // for, like any other private query.
+      Result<GroupByResult> grouped =
+          PrivateGroupBy(state.client.get(), kShellAnalyst, *base, gbo);
       if (!grouped.ok()) {
         std::printf("error: %s\n", grouped.status().ToString().c_str());
         continue;
