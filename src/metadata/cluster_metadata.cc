@@ -1,28 +1,87 @@
 #include "metadata/cluster_metadata.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
+#include <utility>
 
 namespace fedaqp {
+
+namespace {
+
+/// Per-distinct-value row counts of `col`, ascending by value, for
+/// Build's suffix sums. Counts densely over the packed offsets when their
+/// range is below the row count and offsets map to values in order (no
+/// wrap past INT64_MAX); otherwise sorts the decoded values and run-length
+/// encodes them. Nothing read from a directory is trusted: the offset
+/// range is measured here.
+template <typename U>
+void CountValues(PackedColumn col, size_t n,
+                 std::vector<std::pair<Value, size_t>>* out) {
+  uint64_t omin = ~uint64_t{0};
+  uint64_t omax = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t o = PackedOffset<U>(col.data, i);
+    omin = std::min(omin, o);
+    omax = std::max(omax, o);
+  }
+  const uint64_t ref = static_cast<uint64_t>(col.reference);
+  const bool in_order =
+      omax <= static_cast<uint64_t>(INT64_MAX) - ref;  // ref + omax fits
+  if (in_order && omax - omin < n) {
+    std::vector<size_t> counts(omax - omin + 1, 0);
+    for (size_t i = 0; i < n; ++i) ++counts[PackedOffset<U>(col.data, i) - omin];
+    for (size_t k = 0; k < counts.size(); ++k) {
+      if (counts[k] == 0) continue;
+      out->emplace_back(static_cast<Value>(ref + omin + k), counts[k]);
+    }
+    return;
+  }
+  std::vector<Value> values(n);
+  for (size_t i = 0; i < n; ++i) values[i] = col.At(i);
+  std::sort(values.begin(), values.end());
+  for (size_t i = 0; i < n;) {
+    size_t j = i + 1;
+    while (j < n && values[j] == values[i]) ++j;
+    out->emplace_back(values[i], j - i);
+    i = j;
+  }
+}
+
+}  // namespace
 
 DimensionMeta DimensionMeta::Build(const Cluster& cluster, size_t dim,
                                    size_t capacity) {
   // Count occurrences per distinct value, then suffix-sum from the top so
   // each entry holds |rows >= v| / S.
-  std::map<Value, size_t> counts;
-  for (size_t i = 0; i < cluster.num_rows(); ++i) {
-    counts[cluster.at(i, dim)] += 1;
+  const PackedColumn col = cluster.column(dim);
+  const size_t n = cluster.num_rows();
+  std::vector<std::pair<Value, size_t>> counts;
+  switch (col.width) {
+    case 0:
+      if (n > 0) counts.emplace_back(col.reference, n);
+      break;
+    case 1:
+      CountValues<uint8_t>(col, n, &counts);
+      break;
+    case 2:
+      CountValues<uint16_t>(col, n, &counts);
+      break;
+    case 4:
+      CountValues<uint32_t>(col, n, &counts);
+      break;
+    default:
+      CountValues<uint64_t>(col, n, &counts);
+      break;
   }
   DimensionMeta meta;
-  meta.entries_.reserve(counts.size());
+  meta.entries_.resize(counts.size());
   size_t suffix = 0;
-  for (auto it = counts.rbegin(); it != counts.rend(); ++it) {
-    suffix += it->second;
-    meta.entries_.push_back(
-        Entry{it->first, static_cast<double>(suffix) /
-                             static_cast<double>(capacity)});
+  for (size_t k = counts.size(); k-- > 0;) {
+    suffix += counts[k].second;
+    meta.entries_[k] =
+        Entry{counts[k].first,
+              static_cast<double>(suffix) / static_cast<double>(capacity)};
   }
-  std::reverse(meta.entries_.begin(), meta.entries_.end());
   return meta;
 }
 

@@ -1,18 +1,35 @@
 #include "storage/cluster.h"
 
-#include <algorithm>
-
 namespace fedaqp {
 
-Cluster::Cluster(uint32_t id, size_t num_dims)
-    : id_(id), columns_(num_dims), mins_(num_dims, 0), maxs_(num_dims, -1) {}
+Cluster Cluster::FromRows(uint32_t id, size_t num_dims,
+                          const std::vector<const Row*>& rows) {
+  Cluster c;
+  c.id_ = id;
+  c.num_rows_ = rows.size();
+  c.columns_.reserve(num_dims);
+  c.mins_.resize(num_dims);
+  c.maxs_.resize(num_dims);
+  for (size_t d = 0; d < num_dims; ++d) {
+    c.columns_.push_back(PackedBuffer::Pack(
+        rows.size(), [&](size_t i) { return rows[i]->values[d]; },
+        &c.mins_[d], &c.maxs_[d]));
+  }
+  Value measure_min = 0;
+  Value measure_max = 0;
+  c.measures_ = PackedBuffer::Pack(
+      rows.size(), [&](size_t i) { return rows[i]->measure; }, &measure_min,
+      &measure_max);
+  return c;
+}
 
-Cluster Cluster::FromColumns(uint32_t id,
-                             std::vector<std::vector<Value>> columns,
-                             std::vector<int64_t> measures,
-                             std::vector<Value> mins,
-                             std::vector<Value> maxs) {
-  Cluster c(id, columns.size());
+Cluster Cluster::FromPacked(uint32_t id, size_t num_rows,
+                            std::vector<PackedBuffer> columns,
+                            PackedBuffer measures, std::vector<Value> mins,
+                            std::vector<Value> maxs) {
+  Cluster c;
+  c.id_ = id;
+  c.num_rows_ = num_rows;
   c.columns_ = std::move(columns);
   c.measures_ = std::move(measures);
   c.mins_ = std::move(mins);
@@ -20,25 +37,9 @@ Cluster Cluster::FromColumns(uint32_t id,
   return c;
 }
 
-void Cluster::Append(const Row& row) {
-  const bool first = measures_.empty();
-  for (size_t d = 0; d < columns_.size(); ++d) {
-    Value v = row.values[d];
-    columns_[d].push_back(v);
-    if (first) {
-      mins_[d] = v;
-      maxs_[d] = v;
-    } else {
-      mins_[d] = std::min(mins_[d], v);
-      maxs_[d] = std::max(maxs_[d], v);
-    }
-  }
-  measures_.push_back(row.measure);
-}
-
 ScanResult ScanColumnsForQuery(const RangeQuery& query,
-                               const Value* const* columns,
-                               const int64_t* measures, size_t num_rows,
+                               const PackedColumn* columns,
+                               PackedColumn measures, size_t num_rows,
                                ScanProfile profile) {
   const auto& ranges = query.ranges();
   // Predicates are tiny (one per constrained dimension); keep them on the
@@ -53,7 +54,7 @@ ScanResult ScanColumnsForQuery(const RangeQuery& query,
     preds = heap_preds.data();
   }
   for (size_t p = 0; p < ranges.size(); ++p) {
-    preds[p].values = columns[ranges[p].dim_index];
+    preds[p].column = columns[ranges[p].dim_index];
     preds[p].lo = ranges[p].lo;
     preds[p].hi = ranges[p].hi;
   }
@@ -62,25 +63,27 @@ ScanResult ScanColumnsForQuery(const RangeQuery& query,
 
 ScanResult Cluster::Scan(const RangeQuery& query, ScanProfile profile) const {
   constexpr size_t kStackCols = 16;
-  const Value* stack_cols[kStackCols];
-  std::vector<const Value*> heap_cols;
-  const Value** cols = stack_cols;
+  PackedColumn stack_cols[kStackCols];
+  std::vector<PackedColumn> heap_cols;
+  PackedColumn* cols = stack_cols;
   if (columns_.size() > kStackCols) {
     heap_cols.resize(columns_.size());
     cols = heap_cols.data();
   }
-  for (size_t d = 0; d < columns_.size(); ++d) cols[d] = columns_[d].data();
-  return ScanColumnsForQuery(query, cols, measures_.data(), measures_.size(),
+  for (const DimRange& range : query.ranges()) {
+    cols[range.dim_index] = columns_[range.dim_index].view();
+  }
+  return ScanColumnsForQuery(query, cols, measures_.view(), num_rows_,
                              profile);
 }
 
 double Cluster::FractionGreaterEqual(size_t dim, Value v,
                                      size_t denominator) const {
   if (denominator == 0) return 0.0;
-  const auto& col = columns_[dim];
+  const PackedColumn col = columns_[dim].view();
   size_t matching = 0;
-  for (Value x : col) {
-    if (x >= v) ++matching;
+  for (size_t i = 0; i < num_rows_; ++i) {
+    if (col.At(i) >= v) ++matching;
   }
   return static_cast<double>(matching) / static_cast<double>(denominator);
 }

@@ -20,6 +20,17 @@ void RecordStoreScan(size_t rows, double seconds) {
   scan_seconds->Record(seconds);
 }
 
+namespace {
+
+/// Adds modulo 2^64 like the scan kernels' accumulators (a signed `+`
+/// would be undefined once a SUMSQ wraps).
+int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
+}  // namespace
+
 Result<ClusterStore> ClusterStore::Build(const Table& table,
                                          const ClusterStoreOptions& options) {
   if (options.cluster_capacity == 0) {
@@ -61,14 +72,18 @@ Result<ClusterStore> ClusterStore::Build(const Table& table,
   const size_t extra = rows % num_clusters;  // first `extra` get base+1
   size_t next_row = 0;
   int64_t total_measure = 0;
+  store.clusters_.reserve(num_clusters);
+  std::vector<const Row*> members;
   for (size_t c = 0; c < num_clusters; ++c) {
-    store.clusters_.emplace_back(static_cast<uint32_t>(c), dims);
-    size_t size = base + (c < extra ? 1 : 0);
+    const size_t size = base + (c < extra ? 1 : 0);
+    members.clear();
     for (size_t i = 0; i < size; ++i) {
       const Row& row = table.row(order[next_row++]);
       total_measure += row.measure;
-      store.clusters_.back().Append(row);
+      members.push_back(&row);
     }
+    store.clusters_.push_back(
+        Cluster::FromRows(static_cast<uint32_t>(c), dims, members));
   }
   store.total_rows_ = rows;
   store.total_measure_ = total_measure;
@@ -121,22 +136,22 @@ ScanResult ClusterStore::ScanCluster(size_t i, const RangeQuery& query,
   if (scratch->dims.size() < dims) scratch->dims.resize(dims);
 
   constexpr size_t kStackCols = 16;
-  const Value* stack_cols[kStackCols] = {nullptr};
-  std::vector<const Value*> heap_cols;
-  const Value** cols = stack_cols;
+  PackedColumn stack_cols[kStackCols];
+  std::vector<PackedColumn> heap_cols;
+  PackedColumn* cols = stack_cols;
   if (dims > kStackCols) {
-    heap_cols.assign(dims, nullptr);
+    heap_cols.resize(dims);
     cols = heap_cols.data();
   }
-  // Lazy decode: only the query-constrained columns ever leave the file.
+  // kFor columns are scanned in place from the mapping; only kDelta
+  // columns the query touches decode, into the scratch buffers.
   for (const DimRange& range : query.ranges()) {
-    file.DecodeColumn(i, range.dim_index, &scratch->dims[range.dim_index]);
-    cols[range.dim_index] = scratch->dims[range.dim_index].data();
+    cols[range.dim_index] =
+        file.ScanView(i, range.dim_index, &scratch->dims[range.dim_index]);
   }
-  const int64_t* measures = nullptr;
+  PackedColumn measures;
   if (ProfileNeedsMeasures(profile)) {
-    file.DecodeColumn(i, dims, &scratch->measures);
-    measures = scratch->measures.data();
+    measures = file.ScanView(i, dims, &scratch->measures);
   }
   return ScanColumnsForQuery(query, cols, measures, file.cluster_rows(i),
                              profile);
@@ -172,13 +187,14 @@ int64_t ClusterStore::EvaluateExact(const RangeQuery& query,
       ex.ForEachShard(n, [&](size_t shard, ShardRange range) {
         int64_t acc = 0;
         for (size_t c = range.begin; c < range.end; ++c) {
-          acc += ScanCluster(c, query, profile, &scratches[shard])
-                     .For(query.aggregation());
+          acc = WrapAdd(acc, ScanCluster(c, query, profile,
+                                         &scratches[shard])
+                                 .For(query.aggregation()));
         }
         partials[shard] = acc;
       });
   int64_t total = 0;
-  for (int64_t p : partials) total += p;
+  for (int64_t p : partials) total = WrapAdd(total, p);
   const double max_seconds = ShardedScanExecutor::MaxSeconds(seconds);
   RecordStoreScan(TotalRows(), max_seconds);
   if (stats != nullptr) {
@@ -225,16 +241,16 @@ Result<ScanResult> ClusterStore::ScanClusters(const RangeQuery& query,
           ScanResult r =
               ScanCluster(ids[i], query, profile, &scratches[shard]);
           acc.count += r.count;
-          acc.sum += r.sum;
-          acc.sum_squares += r.sum_squares;
+          acc.sum = WrapAdd(acc.sum, r.sum);
+          acc.sum_squares = WrapAdd(acc.sum_squares, r.sum_squares);
         }
         partials[shard] = acc;
       });
   ScanResult out;
   for (const ScanResult& p : partials) {
     out.count += p.count;
-    out.sum += p.sum;
-    out.sum_squares += p.sum_squares;
+    out.sum = WrapAdd(out.sum, p.sum);
+    out.sum_squares = WrapAdd(out.sum_squares, p.sum_squares);
   }
   const double max_seconds = ShardedScanExecutor::MaxSeconds(seconds);
   RecordStoreScan(rows, max_seconds);

@@ -49,8 +49,10 @@ struct ClusterStoreOptions {
   size_t num_scan_shards = 1;
 };
 
-/// Reusable decode buffers for scanning a mapped store. One per shard
-/// (never shared across threads); scans of a resident store ignore it.
+/// Reusable decode buffers for scanning a mapped store's delta-coded
+/// columns (frame-of-reference columns scan in place and never touch it).
+/// One per shard (never shared across threads); scans of a resident store
+/// ignore it.
 /// Holding one across calls amortizes the per-cluster column allocations
 /// down to zero once the high-water cluster size has been seen.
 struct ScanScratch {
@@ -72,10 +74,12 @@ void RecordStoreScan(size_t rows, double seconds);
 /// (plain-text) executor and the sampling-based approximation run on.
 ///
 /// Two backends share this interface:
-///  - resident: clusters live on the heap as column vectors (Build);
+///  - resident: clusters live on the heap as packed frame-of-reference
+///    columns (Build);
 ///  - mapped: clusters live in a read-only mmap of a compressed store
-///    file (OpenMapped) and decode lazily, one cluster per scan, into
-///    ScanScratch buffers.
+///    file (OpenMapped). Frame-of-reference columns share the resident
+///    byte layout and are scanned in place; delta-coded columns decode
+///    lazily, one cluster per scan, into ScanScratch buffers.
 /// Both feed the exact same scan kernels, so answers are bit-identical
 /// across backends. Scans and totals work on either; `cluster()` /
 /// `clusters()` (zero-copy references) are resident-only — streaming
@@ -119,11 +123,12 @@ class ClusterStore {
     return clusters_;
   }
 
-  /// Scans one cluster. Resident: zero-copy over the column vectors.
-  /// Mapped: decodes the query-constrained dimension columns (and the
-  /// measure column when `profile` needs it) into `scratch` and runs the
-  /// same kernel. Pass a per-shard ScanScratch to amortize decode
-  /// allocations; nullptr uses a transient one.
+  /// Scans one cluster. Resident: zero-copy over the packed columns.
+  /// Mapped: scans frame-of-reference columns in place and decodes the
+  /// query-constrained delta-coded columns (and the measure column when
+  /// `profile` needs it and it is delta-coded) into `scratch`; the same
+  /// kernel runs either way. Pass a per-shard ScanScratch to amortize
+  /// decode allocations; nullptr uses a transient one.
   ScanResult ScanCluster(size_t i, const RangeQuery& query,
                          ScanProfile profile = ScanProfile::kAll,
                          ScanScratch* scratch = nullptr) const;

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <fstream>
 
 #include "common/bytes.h"
@@ -39,14 +38,6 @@ void AddMappedBytes(int64_t delta) {
   gauge->Set(static_cast<double>(now));
 }
 
-uint8_t BytesForUnsigned(uint64_t max_value) {
-  if (max_value == 0) return 0;
-  if (max_value <= 0xFFu) return 1;
-  if (max_value <= 0xFFFFu) return 2;
-  if (max_value <= 0xFFFFFFFFull) return 4;
-  return 8;
-}
-
 bool ValidWidth(uint8_t w) {
   return w == 0 || w == 1 || w == 2 || w == 4 || w == 8;
 }
@@ -63,26 +54,6 @@ int64_t UnZigZag(uint64_t z) {
 void PutPacked(ByteWriter* w, uint64_t v, uint8_t width) {
   for (uint8_t b = 0; b < width; ++b) {
     w->PutU8(static_cast<uint8_t>(v >> (8 * b)));
-  }
-}
-
-template <typename U>
-inline uint64_t ReadLE(const uint8_t* p) {
-  U v;
-  std::memcpy(&v, p, sizeof(U));
-  return v;
-}
-
-uint64_t ReadPacked(const uint8_t* p, uint8_t width) {
-  switch (width) {
-    case 1:
-      return *p;
-    case 2:
-      return ReadLE<uint16_t>(p);
-    case 4:
-      return ReadLE<uint32_t>(p);
-    default:
-      return ReadLE<uint64_t>(p);
   }
 }
 
@@ -111,7 +82,7 @@ ColumnPlan PlanColumn(const int64_t* v, size_t n) {
     mx = std::max(mx, v[i]);
   }
   const uint8_t for_width =
-      BytesForUnsigned(static_cast<uint64_t>(mx) - static_cast<uint64_t>(mn));
+      PackedWidthFor(static_cast<uint64_t>(mx) - static_cast<uint64_t>(mn));
   uint64_t max_zz = 0;  // entry 0 is zigzag(0), never the max
   uint64_t prev = static_cast<uint64_t>(v[0]);
   for (size_t i = 1; i < n; ++i) {
@@ -119,7 +90,7 @@ ColumnPlan PlanColumn(const int64_t* v, size_t n) {
     max_zz = std::max(max_zz, ZigZag(static_cast<int64_t>(cur - prev)));
     prev = cur;
   }
-  const uint8_t delta_width = BytesForUnsigned(max_zz);
+  const uint8_t delta_width = PackedWidthFor(max_zz);
   if (delta_width < for_width) {
     plan.encoding = ColumnEncoding::kDelta;
     plan.width = delta_width;
@@ -191,14 +162,18 @@ Status MappedStoreFile::Save(const ClusterStore& store,
   }
   ByteWriter dir;
   ByteWriter data;
+  std::vector<int64_t> values;  // one decoded column, reused
+  auto encode = [&](PackedColumn col, size_t n) {
+    values.resize(n);
+    for (size_t i = 0; i < n; ++i) values[i] = col.At(i);
+    EncodeColumn(values.data(), n, &dir, &data);
+  };
   store.ForEachCluster([&](const Cluster& c) {
     const size_t n = c.num_rows();
     dir.PutU32(c.id());
     dir.PutU64(n);
-    for (size_t d = 0; d < c.num_dims(); ++d) {
-      EncodeColumn(c.column_data(d), n, &dir, &data);
-    }
-    EncodeColumn(c.measure_data(), n, &dir, &data);
+    for (size_t d = 0; d < c.num_dims(); ++d) encode(c.column(d), n);
+    encode(c.measures(), n);
   });
 
   ByteWriter w;
@@ -321,18 +296,13 @@ MappedStoreFile::~MappedStoreFile() {
   }
 }
 
-namespace {
-
-/// Width-specialized frame-of-reference decode: a branch-free add loop
-/// the compiler auto-vectorizes (this is the mapped scan's hot path).
-template <typename U>
-void DecodeForLoop(const uint8_t* src, size_t n, uint64_t ref, int64_t* dst) {
-  for (size_t i = 0; i < n; ++i) {
-    dst[i] = static_cast<int64_t>(ref + ReadLE<U>(src + i * sizeof(U)));
-  }
+PackedColumn MappedStoreFile::ForView(const ColInfo& info) const {
+  PackedColumn view;
+  view.data = data_ + info.offset;
+  view.width = info.width;
+  view.reference = info.reference;
+  return view;
 }
-
-}  // namespace
 
 void MappedStoreFile::DecodeColumn(size_t c, size_t column,
                                    std::vector<int64_t>* out) const {
@@ -340,54 +310,64 @@ void MappedStoreFile::DecodeColumn(size_t c, size_t column,
   const size_t n = cluster_rows(c);
   out->resize(n);
   int64_t* dst = out->data();
-  if (info.width == 0) {
-    std::fill(dst, dst + n, info.reference);
-    return;
-  }
-  const uint8_t* src = data_ + info.offset;
   if (info.encoding == static_cast<uint8_t>(ColumnEncoding::kFor)) {
-    const uint64_t ref = static_cast<uint64_t>(info.reference);
-    switch (info.width) {
-      case 1:
-        DecodeForLoop<uint8_t>(src, n, ref, dst);
-        break;
-      case 2:
-        DecodeForLoop<uint16_t>(src, n, ref, dst);
-        break;
-      case 4:
-        DecodeForLoop<uint32_t>(src, n, ref, dst);
-        break;
-      default:
-        DecodeForLoop<uint64_t>(src, n, ref, dst);
-        break;
-    }
+    const PackedColumn view = ForView(info);
+    for (size_t i = 0; i < n; ++i) dst[i] = view.At(i);
     return;
   }
   // Delta: a wrap-safe prefix sum (entry 0 is zigzag(0), so the uniform
-  // loop reproduces reference at row 0).
+  // loop reproduces reference at row 0). The zigzag entries share the
+  // packed layout; read them raw, at reference 0.
+  PackedColumn entries = ForView(info);
+  entries.reference = 0;
   uint64_t acc = static_cast<uint64_t>(info.reference);
-  const uint8_t w = info.width;
   for (size_t i = 0; i < n; ++i) {
-    acc += static_cast<uint64_t>(UnZigZag(ReadPacked(src + i * w, w)));
+    acc += static_cast<uint64_t>(
+        UnZigZag(static_cast<uint64_t>(entries.At(i))));
     dst[i] = static_cast<int64_t>(acc);
   }
 }
 
+PackedColumn MappedStoreFile::ScanView(size_t c, size_t column,
+                                       std::vector<int64_t>* scratch) const {
+  const ColInfo& info = col(c, column);
+  if (info.encoding == static_cast<uint8_t>(ColumnEncoding::kFor)) {
+    return ForView(info);
+  }
+  DecodeColumn(c, column, scratch);
+  return Int64Column(scratch->data());
+}
+
 Cluster MappedStoreFile::MaterializeCluster(size_t c) const {
   const size_t dims = num_dims();
-  std::vector<std::vector<Value>> columns(dims);
+  const size_t n = cluster_rows(c);
+  std::vector<int64_t> decoded;
+  auto copy_column = [&](size_t column) {
+    const ColInfo& info = col(c, column);
+    if (info.encoding == static_cast<uint8_t>(ColumnEncoding::kFor)) {
+      const uint8_t* src = data_ + info.offset;
+      return PackedBuffer(std::vector<uint8_t>(src, src + info.byte_len),
+                          info.width, info.reference);
+    }
+    DecodeColumn(c, column, &decoded);
+    Value unused_min = 0;
+    Value unused_max = 0;
+    return PackedBuffer::Pack(
+        n, [&](size_t i) { return decoded[i]; }, &unused_min, &unused_max);
+  };
+  std::vector<PackedBuffer> columns;
+  columns.reserve(dims);
   std::vector<Value> mins(dims);
   std::vector<Value> maxs(dims);
   for (size_t d = 0; d < dims; ++d) {
-    DecodeColumn(c, d, &columns[d]);
+    columns.push_back(copy_column(d));
     mins[d] = col(c, d).min_value;
     maxs[d] = col(c, d).max_value;
   }
-  std::vector<int64_t> measures;
-  DecodeColumn(c, dims, &measures);
-  return Cluster::FromColumns(static_cast<uint32_t>(c), std::move(columns),
-                              std::move(measures), std::move(mins),
-                              std::move(maxs));
+  PackedBuffer measures = copy_column(dims);
+  return Cluster::FromPacked(static_cast<uint32_t>(c), n, std::move(columns),
+                             std::move(measures), std::move(mins),
+                             std::move(maxs));
 }
 
 uint64_t MappedStoreFile::TotalMappedBytes() {

@@ -27,8 +27,7 @@ class ClusterStore;
 ///           uniform).
 enum class ColumnEncoding : uint8_t { kFor = 0, kDelta = 1 };
 
-/// Magic tag of the mapped store format (persistence.cc sniffs it so
-/// LoadClusterStore can route either store format transparently).
+/// Magic tag of the mapped store format.
 constexpr uint32_t kMappedStoreMagic = 0xFEDA0003;
 
 /// A read-only, mmap-backed cluster store file:
@@ -45,9 +44,12 @@ constexpr uint32_t kMappedStoreMagic = 0xFEDA0003;
 /// Open() maps the file read-only and validates the header, version and
 /// every directory entry (widths, encodings, lengths, bounds) before any
 /// decode touches the data section — a truncated or corrupted file is
-/// rejected with a Status, never a crash. Column data decodes lazily, one
-/// cluster at a time, into caller-owned scratch buffers that feed the
-/// same scan kernels the resident store uses; resident memory stays
+/// rejected with a Status, never a crash. A kFor column's bytes are
+/// exactly the resident PackedColumn layout (little-endian unsigned
+/// offsets from `reference`), so scans read them in place from the
+/// mapping; only kDelta columns decode, one cluster at a time, into
+/// caller-owned scratch buffers. The directory's min/max never steer a
+/// scan, so lying bounds cannot change an answer. Resident memory stays
 /// O(scratch), not O(file).
 class MappedStoreFile {
  public:
@@ -88,8 +90,15 @@ class MappedStoreFile {
   /// `column` == num_dims selects the measure column.
   void DecodeColumn(size_t c, size_t column, std::vector<int64_t>* out) const;
 
-  /// Fully decodes cluster `c` into a resident Cluster (metadata build,
-  /// row flattening — the streaming consumers).
+  /// The kernel view of column `column` of cluster `c`: a kFor column is
+  /// viewed in place in the mapping; a kDelta column is decoded into
+  /// `scratch` and viewed as plain int64 (valid until `scratch` changes).
+  PackedColumn ScanView(size_t c, size_t column,
+                        std::vector<int64_t>* scratch) const;
+
+  /// Copies cluster `c` into a resident Cluster (metadata build, row
+  /// flattening — the streaming consumers): kFor bytes are copied as they
+  /// are, kDelta columns decode and repack.
   Cluster MaterializeCluster(size_t c) const;
 
   /// Total mapped bytes across every open MappedStoreFile in the process
@@ -112,6 +121,8 @@ class MappedStoreFile {
   const ColInfo& col(size_t c, size_t column) const {
     return cols_[c * (schema_.num_dims() + 1) + column];
   }
+  /// The in-place kernel view of a kFor column.
+  PackedColumn ForView(const ColInfo& info) const;
 
   void* map_ = nullptr;
   size_t map_size_ = 0;

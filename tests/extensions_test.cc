@@ -1,5 +1,5 @@
 // Tests for the extension substrates: Gaussian mechanism, Shamir threshold
-// sharing, stratified sampling and storage persistence.
+// sharing, stratified sampling and store persistence.
 
 #include <cmath>
 #include <cstdio>
@@ -16,7 +16,7 @@
 #include "dp/laplace.h"
 #include "sampling/stratified.h"
 #include "smc/shamir.h"
-#include "storage/persistence.h"
+#include "storage/cluster_store.h"
 #include "workload/datagen.h"
 
 namespace fedaqp {
@@ -238,18 +238,30 @@ class PersistenceTest : public ::testing::Test {
   }
 };
 
-TEST_F(PersistenceTest, TableRoundTrip) {
+TEST_F(PersistenceTest, StoreRoundTripKeepsEveryRow) {
+  // A sequential store saved and reopened yields the table's rows in
+  // their original order: the offline phase survives a restart.
   Table t = MakeTable();
-  std::string path = Path("table.bin");
-  ASSERT_TRUE(SaveTable(t, path).ok());
-  Result<Table> back = LoadTable(path);
+  ClusterStoreOptions opts;
+  opts.cluster_capacity = 64;
+  Result<ClusterStore> store = ClusterStore::Build(t, opts);
+  ASSERT_TRUE(store.ok());
+  std::string path = Path("table_store.bin");
+  ASSERT_TRUE(store->SaveMapped(path).ok());
+  Result<ClusterStore> back = ClusterStore::OpenMapped(path);
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->schema() == t.schema());
-  ASSERT_EQ(back->num_rows(), t.num_rows());
-  for (size_t i = 0; i < t.num_rows(); ++i) {
-    EXPECT_EQ(back->row(i).values, t.row(i).values);
-    EXPECT_EQ(back->row(i).measure, t.row(i).measure);
-  }
+  ASSERT_EQ(back->TotalRows(), t.num_rows());
+  size_t next = 0;
+  back->ForEachCluster([&](const Cluster& c) {
+    for (size_t i = 0; i < c.num_rows(); ++i, ++next) {
+      for (size_t d = 0; d < c.num_dims(); ++d) {
+        EXPECT_EQ(c.at(i, d), t.row(next).values[d]);
+      }
+      EXPECT_EQ(c.measure(i), t.row(next).measure);
+    }
+  });
+  EXPECT_EQ(next, t.num_rows());
   std::remove(path.c_str());
 }
 
@@ -262,8 +274,8 @@ TEST_F(PersistenceTest, ClusterStoreRoundTripPreservesContent) {
   Result<ClusterStore> store = ClusterStore::Build(t, opts);
   ASSERT_TRUE(store.ok());
   std::string path = Path("store.bin");
-  ASSERT_TRUE(SaveClusterStore(*store, path).ok());
-  Result<ClusterStore> back = LoadClusterStore(path);
+  ASSERT_TRUE(store->SaveMapped(path).ok());
+  Result<ClusterStore> back = ClusterStore::OpenMapped(path);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->num_clusters(), store->num_clusters());
   EXPECT_EQ(back->TotalRows(), store->TotalRows());
@@ -272,43 +284,44 @@ TEST_F(PersistenceTest, ClusterStoreRoundTripPreservesContent) {
   // query results and min/max boxes agree exactly.
   RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 3, 20).Build();
   EXPECT_EQ(back->EvaluateExact(q), store->EvaluateExact(q));
-  for (size_t c = 0; c < store->num_clusters(); ++c) {
-    EXPECT_EQ(back->cluster(c).num_rows(), store->cluster(c).num_rows());
-    EXPECT_EQ(back->cluster(c).MinValue(0), store->cluster(c).MinValue(0));
-    EXPECT_EQ(back->cluster(c).MaxValue(1), store->cluster(c).MaxValue(1));
-  }
+  size_t c = 0;
+  back->ForEachCluster([&](const Cluster& mc) {
+    EXPECT_EQ(mc.num_rows(), store->cluster(c).num_rows());
+    EXPECT_EQ(mc.MinValue(0), store->cluster(c).MinValue(0));
+    EXPECT_EQ(mc.MaxValue(1), store->cluster(c).MaxValue(1));
+    ++c;
+  });
+  EXPECT_EQ(c, store->num_clusters());
   std::remove(path.c_str());
 }
 
-TEST_F(PersistenceTest, LoadRejectsMissingAndCorruptFiles) {
-  EXPECT_EQ(LoadTable(Path("nope.bin")).status().code(), StatusCode::kNotFound);
+TEST_F(PersistenceTest, OpenRejectsMissingAndCorruptFiles) {
+  EXPECT_EQ(ClusterStore::OpenMapped(Path("nope.bin")).status().code(),
+            StatusCode::kNotFound);
 
-  // Wrong magic.
-  Table t = MakeTable();
-  std::string path = Path("corrupt.bin");
-  ASSERT_TRUE(SaveClusterStore(
-                  *ClusterStore::Build(t, ClusterStoreOptions{}), path)
-                  .ok());
-  EXPECT_FALSE(LoadTable(path).ok());  // store magic != table magic
-
-  // Truncation.
+  // Not a store file at all (wrong magic).
+  std::string junk_path = Path("junk.bin");
   {
-    Result<std::vector<Table>> unused = t.PartitionHorizontally(1);
-    (void)unused;
-    std::string table_path = Path("trunc.bin");
-    ASSERT_TRUE(SaveTable(t, table_path).ok());
-    // Rewrite with only the first 16 bytes.
-    std::ifstream in(table_path, std::ios::binary);
-    char buf[16];
-    in.read(buf, sizeof(buf));
-    in.close();
-    std::ofstream out(table_path, std::ios::binary | std::ios::trunc);
-    out.write(buf, sizeof(buf));
-    out.close();
-    EXPECT_FALSE(LoadTable(table_path).ok());
-    std::remove(table_path.c_str());
+    std::ofstream out(junk_path, std::ios::binary | std::ios::trunc);
+    out << "definitely not a cluster store";
   }
+  EXPECT_FALSE(ClusterStore::OpenMapped(junk_path).ok());
+
+  // Truncation to the first 16 bytes.
+  Table t = MakeTable();
+  std::string path = Path("trunc.bin");
+  ASSERT_TRUE(ClusterStore::Build(t, ClusterStoreOptions{})->SaveMapped(path)
+                  .ok());
+  std::ifstream in(path, std::ios::binary);
+  char buf[16];
+  in.read(buf, sizeof(buf));
+  in.close();
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(buf, sizeof(buf));
+  out.close();
+  EXPECT_FALSE(ClusterStore::OpenMapped(path).ok());
   std::remove(path.c_str());
+  std::remove(junk_path.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Unit tests for src/metadata: Algorithm 1 tail tables, covering-set
 // identification (Eq. 2) and proportion approximation (Eq. 1).
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -53,11 +56,11 @@ TEST(DimensionMetaTest, TailFractionsMatchBruteForce) {
 }
 
 TEST(DimensionMetaTest, FractionInRangeIsClosedInterval) {
-  Cluster c(0, 1);
-  for (Value v : {10, 10, 20, 30}) {
-    Row r{{v}, 1};
-    c.Append(r);
-  }
+  std::vector<Row> rows;
+  for (Value v : {10, 10, 20, 30}) rows.push_back(Row{{v}, 1});
+  std::vector<const Row*> ptrs;
+  for (const Row& r : rows) ptrs.push_back(&r);
+  Cluster c = Cluster::FromRows(0, 1, ptrs);
   DimensionMeta meta = DimensionMeta::Build(c, 0, 4);
   // [10,10] must include both rows equal to 10.
   EXPECT_DOUBLE_EQ(meta.FractionInRange(10, 10), 0.5);
@@ -65,6 +68,74 @@ TEST(DimensionMetaTest, FractionInRangeIsClosedInterval) {
   EXPECT_DOUBLE_EQ(meta.FractionInRange(11, 19), 0.0);
   EXPECT_DOUBLE_EQ(meta.FractionInRange(20, 30), 0.5);
   EXPECT_DOUBLE_EQ(meta.FractionInRange(30, 10), 0.0);  // inverted
+}
+
+/// The tail table as the std::map formulation computes it: count per
+/// distinct value, suffix-sum from the top.
+std::vector<DimensionMeta::Entry> MapReference(const Cluster& c, size_t dim,
+                                               size_t capacity) {
+  std::map<Value, size_t> counts;
+  for (size_t i = 0; i < c.num_rows(); ++i) counts[c.at(i, dim)] += 1;
+  std::vector<DimensionMeta::Entry> out;
+  size_t suffix = 0;
+  for (auto it = counts.rbegin(); it != counts.rend(); ++it) {
+    suffix += it->second;
+    out.push_back({it->first, static_cast<double>(suffix) /
+                                  static_cast<double>(capacity)});
+  }
+  std::reverse(out.begin(), out.end());
+  return out;
+}
+
+void ExpectMatchesReference(const Cluster& c, size_t capacity) {
+  for (size_t d = 0; d < c.num_dims(); ++d) {
+    const std::vector<DimensionMeta::Entry> want =
+        MapReference(c, d, capacity);
+    const DimensionMeta got = DimensionMeta::Build(c, d, capacity);
+    ASSERT_EQ(got.entries().size(), want.size()) << "dim " << d;
+    for (size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(got.entries()[k].value, want[k].value);
+      // Same integer suffix over the same denominator: bit-equal doubles.
+      EXPECT_EQ(got.entries()[k].fraction_ge, want[k].fraction_ge);
+    }
+  }
+}
+
+TEST(DimensionMetaTest, DenseAndSortedCountsMatchMapReference) {
+  // Spans below the row count take the dense path, wider ones (and the
+  // int64-width column) the sort path; both must equal the map.
+  Rng rng(17);
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t n = static_cast<size_t>(rng.UniformU64(300));
+    const Value narrow_lo = rng.UniformInt(-500, 500);
+    const Value narrow_span = rng.UniformInt(0, 40);
+    const Value wide_span = rng.UniformInt(1000, 100000);
+    std::vector<Row> rows(n);
+    for (Row& r : rows) {
+      r.values = {narrow_lo + rng.UniformInt(0, narrow_span),
+                  rng.UniformInt(-wide_span, wide_span),
+                  rng.UniformInt(0, 1) == 0 ? INT64_MIN + rng.UniformInt(0, 3)
+                                            : INT64_MAX - rng.UniformInt(0, 3),
+                  42};
+    }
+    std::vector<const Row*> ptrs;
+    for (const Row& r : rows) ptrs.push_back(&r);
+    ExpectMatchesReference(Cluster::FromRows(0, 4, ptrs), 512);
+  }
+}
+
+TEST(DimensionMetaTest, OffsetsThatWrapPastInt64MaxStayOrdered) {
+  // A mapped cluster may carry any reference: with reference INT64_MAX - 1
+  // the 1-byte offsets 0..3 decode to INT64_MAX - 1, INT64_MAX, INT64_MIN,
+  // INT64_MIN + 1 — not in offset order, so the dense path must not run.
+  std::vector<uint8_t> bytes = {3, 0, 2, 1, 2, 0};
+  std::vector<PackedBuffer> columns;
+  columns.emplace_back(bytes, 1, INT64_MAX - 1);
+  Cluster c = Cluster::FromPacked(0, bytes.size(), std::move(columns),
+                                  PackedBuffer({}, 0, 1), {INT64_MIN},
+                                  {INT64_MAX});
+  ExpectMatchesReference(c, 8);
+  EXPECT_EQ(DimensionMeta::Build(c, 0, 8).entries().front().value, INT64_MIN);
 }
 
 TEST(DimensionMetaTest, SerializationRoundTrip) {

@@ -15,7 +15,7 @@
 #include "sampling/em_sampler.h"
 #include "sampling/stratified.h"
 #include "smc/shamir.h"
-#include "storage/persistence.h"
+#include "storage/cluster_store.h"
 #include "workload/datagen.h"
 
 namespace fedaqp {
@@ -95,8 +95,8 @@ TEST_P(PersistenceProperty, StoreRoundTripAcrossLayoutsAndCapacities) {
 
   std::string path = testing::TempDir() + "/fedaqp_prop_" +
                      std::to_string(layout) + "_" + std::to_string(capacity);
-  ASSERT_TRUE(SaveClusterStore(*store, path).ok());
-  Result<ClusterStore> back = LoadClusterStore(path);
+  ASSERT_TRUE(store->SaveMapped(path).ok());
+  Result<ClusterStore> back = ClusterStore::OpenMapped(path);
   ASSERT_TRUE(back.ok());
 
   EXPECT_EQ(back->num_clusters(), store->num_clusters());

@@ -1,19 +1,26 @@
 // Unit tests for src/storage: schema, tables, count tensors, range queries,
 // clusters, cluster stores, and the compressed mmap-persistent store format.
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "storage/cluster_store.h"
-#include "storage/persistence.h"
 #include "storage/range_query.h"
+#include "storage/scan_kernel.h"
 #include "storage/store_file.h"
 #include "storage/table.h"
 
@@ -219,14 +226,16 @@ TEST(RangeQueryTest, ToStringIsReadable) {
 
 // --------------------------------------------------------------- Cluster --
 
+/// Packs `rows` into a cluster with `dims` dimensions.
+Cluster PackRows(uint32_t id, size_t dims, const std::vector<Row>& rows) {
+  std::vector<const Row*> ptrs;
+  for (const Row& r : rows) ptrs.push_back(&r);
+  return Cluster::FromRows(id, dims, ptrs);
+}
+
 TEST(ClusterTest, ScanCountsAndSums) {
-  Cluster c(0, 2);
-  Row r1{{10, 5}, 2};
-  Row r2{{20, 6}, 3};
-  Row r3{{30, 7}, 4};
-  c.Append(r1);
-  c.Append(r2);
-  c.Append(r3);
+  Cluster c = PackRows(0, 2, {Row{{10, 5}, 2}, Row{{20, 6}, 3},
+                              Row{{30, 7}, 4}});
   EXPECT_EQ(c.num_rows(), 3u);
   RangeQuery q = RangeQueryBuilder(Aggregation::kCount).Where(0, 10, 20).Build();
   ScanResult res = c.Scan(q);
@@ -237,24 +246,46 @@ TEST(ClusterTest, ScanCountsAndSums) {
 }
 
 TEST(ClusterTest, MinMaxTracking) {
-  Cluster c(1, 1);
-  EXPECT_GT(c.MinValue(0), c.MaxValue(0));  // empty: min 0 > max -1
-  Row r{{42}, 1};
-  c.Append(r);
-  EXPECT_EQ(c.MinValue(0), 42);
-  EXPECT_EQ(c.MaxValue(0), 42);
-  Row r2{{7}, 1};
-  c.Append(r2);
-  EXPECT_EQ(c.MinValue(0), 7);
-  EXPECT_EQ(c.MaxValue(0), 42);
+  Cluster empty = PackRows(1, 1, {});
+  EXPECT_GT(empty.MinValue(0), empty.MaxValue(0));  // empty: min 0 > max -1
+  Cluster one = PackRows(1, 1, {Row{{42}, 1}});
+  EXPECT_EQ(one.MinValue(0), 42);
+  EXPECT_EQ(one.MaxValue(0), 42);
+  Cluster two = PackRows(1, 1, {Row{{42}, 1}, Row{{7}, 1}});
+  EXPECT_EQ(two.MinValue(0), 7);
+  EXPECT_EQ(two.MaxValue(0), 42);
+}
+
+TEST(ClusterTest, PacksEachColumnAtItsNarrowestWidth) {
+  // Offsets from the column min decide the width; a column spanning the
+  // whole int64 range stays plain int64 (reference 0).
+  const Value big = int64_t{1} << 40;
+  Cluster c = PackRows(
+      3, 4,
+      {Row{{5, -1000, 0, INT64_MIN}, 7}, Row{{5, -744, 70000, INT64_MAX}, 7},
+       Row{{5, -900, 1, 0}, 7}});
+  EXPECT_EQ(c.column(0).width, 0);  // constant
+  EXPECT_EQ(c.column(0).reference, 5);
+  EXPECT_EQ(c.column(1).width, 2);  // span 256
+  EXPECT_EQ(c.column(1).reference, -1000);
+  EXPECT_EQ(c.column(2).width, 4);  // span 70000
+  EXPECT_EQ(c.column(3).width, 8);
+  EXPECT_EQ(c.column(3).reference, 0);
+  EXPECT_EQ(c.measures().width, 0);
+  const std::vector<std::vector<Value>> want = {
+      {5, -1000, 0, INT64_MIN}, {5, -744, 70000, INT64_MAX}, {5, -900, 1, 0}};
+  for (size_t i = 0; i < want.size(); ++i) {
+    for (size_t d = 0; d < 4; ++d) EXPECT_EQ(c.at(i, d), want[i][d]);
+    EXPECT_EQ(c.measure(i), 7);
+  }
+  Cluster wide = PackRows(4, 1, {Row{{0}, 1}, Row{{big}, 1}});
+  EXPECT_EQ(wide.column(0).width, 8);
+  EXPECT_EQ(wide.measures().width, 0);
 }
 
 TEST(ClusterTest, FractionGreaterEqualUsesDenominator) {
-  Cluster c(2, 1);
-  for (Value v : {1, 2, 3, 4}) {
-    Row r{{v}, 1};
-    c.Append(r);
-  }
+  Cluster c = PackRows(2, 1, {Row{{1}, 1}, Row{{2}, 1}, Row{{3}, 1},
+                              Row{{4}, 1}});
   // Denominator is the capacity S (8), not the row count (4).
   EXPECT_DOUBLE_EQ(c.FractionGreaterEqual(0, 3, 8), 2.0 / 8.0);
   EXPECT_DOUBLE_EQ(c.FractionGreaterEqual(0, 0, 8), 4.0 / 8.0);
@@ -526,26 +557,198 @@ TEST_F(MappedStoreTest, CompressionShrinksSmallDomains) {
   EXPECT_LT(file_size, raw_size / 2);
 }
 
-TEST_F(MappedStoreTest, LoadClusterStoreAutoDetectsMappedFormat) {
-  Table t = WideTable(600, 43);
+/// Reads a whole file.
+std::vector<char> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+template <typename T>
+void Poke(std::vector<char>* bytes, size_t pos, T v) {
+  std::memcpy(bytes->data() + pos, &v, sizeof(T));
+}
+
+/// Byte offset of the first cluster's directory entry in a store file
+/// written for `schema` (see the layout in storage/store_file.h).
+size_t DirectoryStart(const Schema& schema) {
+  ByteWriter w;
+  EncodeSchema(schema, &w);
+  return 4 + 4 + 8 + 8 + 8 + 8 + w.size();
+}
+
+/// Scans cluster `c` of `file` the slow way: decode every column the
+/// query needs to int64, then run the plain-int64 kernel.
+ScanResult DecodeThenScan(const MappedStoreFile& file, size_t c,
+                          const RangeQuery& query, ScanProfile profile) {
+  std::vector<std::vector<int64_t>> decoded(file.num_dims() + 1);
+  std::vector<PackedColumn> cols(file.num_dims());
+  for (size_t d = 0; d < file.num_dims(); ++d) {
+    file.DecodeColumn(c, d, &decoded[d]);
+    cols[d] = Int64Column(decoded[d].data());
+  }
+  file.DecodeColumn(c, file.num_dims(), &decoded.back());
+  return ScanColumnsForQuery(query, cols.data(),
+                             Int64Column(decoded.back().data()),
+                             file.cluster_rows(c), profile);
+}
+
+TEST_F(MappedStoreTest, LyingDirectoryBoundsAnswerAsDecodeThenScan) {
+  // Frame-of-reference columns are scanned in place, translating each
+  // predicate through the column's reference and width only. A directory
+  // whose min/max lie, data bytes outside those bounds, and references
+  // whose offsets wrap past INT64_MAX must all answer exactly as decoding
+  // every value first does.
+  Table t = WideTable(700, 61);
   ClusterStoreOptions opts;
   opts.cluster_capacity = 100;
+  opts.layout = ClusterLayout::kShuffled;
   Result<ClusterStore> built = ClusterStore::Build(t, opts);
   ASSERT_TRUE(built.ok());
-  std::string path = Path("autodetect");
+  std::string path = Path("lying_src");
   ASSERT_TRUE(built->SaveMapped(path).ok());
-  Result<ClusterStore> loaded = LoadClusterStore(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(loaded->mapped());
-  RangeQuery q = RangeQueryBuilder(Aggregation::kSum).Where(0, 5, 60).Build();
-  EXPECT_EQ(loaded->EvaluateExact(q), built->EvaluateExact(q));
-  // The legacy resident format still loads through the same entry point.
-  std::string legacy = Path("legacy");
-  ASSERT_TRUE(SaveClusterStore(*built, legacy).ok());
-  Result<ClusterStore> legacy_loaded = LoadClusterStore(legacy);
-  ASSERT_TRUE(legacy_loaded.ok());
-  EXPECT_FALSE(legacy_loaded->mapped());
-  EXPECT_EQ(legacy_loaded->EvaluateExact(q), built->EvaluateExact(q));
+  std::vector<char> bytes = ReadFileBytes(path);
+
+  const size_t dims = t.schema().num_dims();
+  const size_t col_entry = 1 + 1 + 8 + 8 + 8 + 8 + 8;
+  const size_t cluster_entry = 4 + 8 + (dims + 1) * col_entry;
+  const size_t dir = DirectoryStart(t.schema());
+  const size_t num_clusters = built->num_clusters();
+  Rng rng(67);
+  for (size_t c = 0; c < num_clusters; ++c) {
+    for (size_t col = 0; col <= dims; ++col) {
+      const size_t entry = dir + c * cluster_entry + 12 + col * col_entry;
+      ASSERT_EQ(bytes[entry], 0) << "expected a kFor column";
+      // Entry layout: u8 encoding, u8 width, then i64 reference at +2,
+      // min at +10, max at +18. Bounds that claim the column is one
+      // far-away value, and on every other cluster a reference whose
+      // offsets wrap past INT64_MAX.
+      const int64_t ref = c % 2 == 0 ? rng.UniformInt(-20, 20)
+                                     : INT64_MAX - rng.UniformInt(0, 100);
+      Poke<int64_t>(&bytes, entry + 2, ref);
+      Poke<int64_t>(&bytes, entry + 10, int64_t{1} << 50);
+      Poke<int64_t>(&bytes, entry + 18, (int64_t{1} << 50) + 1);
+    }
+  }
+  // Scribble over part of the data section: offsets the saved bounds
+  // never allowed.
+  for (int k = 0; k < 200; ++k) {
+    const size_t pos = bytes.size() - 1 - rng.UniformU64(bytes.size() / 3);
+    bytes[pos] = static_cast<char>(rng.UniformU64(256));
+  }
+  std::string lying = Path("lying");
+  WriteFileBytes(lying, bytes);
+
+  Result<ClusterStore> mapped = ClusterStore::OpenMapped(lying);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  Result<std::shared_ptr<const MappedStoreFile>> file =
+      MappedStoreFile::Open(lying);
+  ASSERT_TRUE(file.ok());
+  const std::pair<Value, Value> ranges[] = {
+      {0, 99}, {10, 40}, {INT64_MIN, INT64_MAX}, {INT64_MIN, -1},
+      {INT64_MAX - 50, INT64_MAX}, {int64_t{1} << 50, int64_t{1} << 51}};
+  for (const auto& range : ranges) {
+    for (ScanProfile profile :
+         {ScanProfile::kCount, ScanProfile::kSum, ScanProfile::kSumSquares,
+          ScanProfile::kAll}) {
+      RangeQuery q = RangeQueryBuilder(Aggregation::kCount)
+                         .Where(0, range.first, range.second)
+                         .Where(1, INT64_MIN + 1, INT64_MAX)
+                         .Build();
+      for (size_t c = 0; c < num_clusters; ++c) {
+        const ScanResult want = DecodeThenScan(**file, c, q, profile);
+        for (ScanBackend backend : {ScanBackend::kScalar, ScanBackend::kAvx2}) {
+          SetScanBackend(backend);
+          const ScanResult got = mapped->ScanCluster(c, q, profile);
+          EXPECT_EQ(got.count, want.count) << "cluster " << c;
+          EXPECT_EQ(got.sum, want.sum) << "cluster " << c;
+          EXPECT_EQ(got.sum_squares, want.sum_squares) << "cluster " << c;
+        }
+      }
+    }
+  }
+  SetScanBackend(ResolveScanBackend());
+}
+
+TEST_F(MappedStoreTest, ColumnEndingOnAPageBoundaryIsNotOverRead) {
+  // The file's last bytes are the last cluster's measure column. Pad the
+  // schema (a dimension name) until the file is an exact number of pages,
+  // so the page after the mapping is unmapped and any load past a
+  // column's end faults. Dimensions span 1-, 2-, 4- and 8-byte offsets;
+  // the measure column takes each width in turn; cluster sizes cover a
+  // block tail (67 rows) and whole blocks only (64 rows).
+  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  const Value domains[] = {250, 60000, Value{5} << 30, Value{1} << 40};
+  const Value measure_spans[] = {200, 60000, Value{4} << 30, Value{1} << 40};
+  for (Value measure_span : measure_spans) {
+    for (size_t rows : {size_t{67}, size_t{64}}) {
+      auto make_table = [&](const std::string& pad) {
+        Schema schema;
+        for (size_t d = 0; d < 4; ++d) {
+          EXPECT_TRUE(schema.AddDimension("d" + std::to_string(d) +
+                                              (d == 0 ? pad : ""),
+                                          domains[d])
+                          .ok());
+        }
+        Table table(schema);
+        Rng rng(static_cast<uint64_t>(measure_span) + rows);
+        for (size_t i = 0; i < 2 * rows; ++i) {
+          Row row;
+          for (Value domain : domains) {
+            row.values.push_back(rng.UniformInt(0, domain - 1));
+          }
+          row.measure = 1 + rng.UniformInt(0, measure_span);
+          EXPECT_TRUE(table.Append(row).ok());
+        }
+        // Pin the extremes so every column needs its full width.
+        EXPECT_TRUE(table.Append(Row{{0, 0, 0, 0}, 1}).ok());
+        EXPECT_TRUE(table.Append(Row{{domains[0] - 1, domains[1] - 1,
+                                      domains[2] - 1, domains[3] - 1},
+                                     1 + measure_span})
+                        .ok());
+        return table;
+      };
+      ClusterStoreOptions opts;
+      opts.cluster_capacity = rows;
+      opts.layout = ClusterLayout::kShuffled;
+      std::string path = Path("page_" + std::to_string(measure_span) + "_" +
+                              std::to_string(rows));
+      Result<ClusterStore> probe = ClusterStore::Build(make_table(""), opts);
+      ASSERT_TRUE(probe.ok());
+      ASSERT_TRUE(probe->SaveMapped(path).ok());
+      const size_t unpadded = ReadFileBytes(path).size();
+      const std::string pad((page - unpadded % page) % page, 'x');
+      Table table = make_table(pad);
+      Result<ClusterStore> built = ClusterStore::Build(table, opts);
+      ASSERT_TRUE(built.ok());
+      ASSERT_TRUE(built->SaveMapped(path).ok());
+      ASSERT_EQ(ReadFileBytes(path).size() % page, 0u);
+
+      Result<ClusterStore> mapped = ClusterStore::OpenMapped(path);
+      ASSERT_TRUE(mapped.ok());
+      for (size_t d = 0; d < 4; ++d) {
+        for (Aggregation agg :
+             {Aggregation::kCount, Aggregation::kSum,
+              Aggregation::kSumSquares}) {
+          RangeQuery q = RangeQueryBuilder(agg)
+                             .Where(d, domains[d] / 4, domains[d] / 2)
+                             .Build();
+          for (ScanBackend backend :
+               {ScanBackend::kScalar, ScanBackend::kAvx2}) {
+            SetScanBackend(backend);
+            EXPECT_EQ(mapped->EvaluateExact(q), built->EvaluateExact(q))
+                << "dim " << d << " measure span " << measure_span;
+          }
+        }
+      }
+    }
+  }
+  SetScanBackend(ResolveScanBackend());
 }
 
 TEST_F(MappedStoreTest, RejectsTruncatedFiles) {
