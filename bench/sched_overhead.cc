@@ -1,10 +1,7 @@
 // Scheduler-overhead bench: raw TaskGraph throughput on trivial task
-// bodies, where every microsecond is queue bookkeeping, condvar traffic,
-// and steal probes rather than useful work. Sweeps pool sizes {1,4,8} x
-// fan-out widths, comparing the centralized strict-total-order heap (the
-// pre-overhaul queue, still the 0-1 worker path) against the sharded
-// work-stealing queue. Reports tasks/sec per cell and the steal/local-pop
-// profile of the sharded runs. Emits BENCH_sched_overhead.json.
+// bodies, where every microsecond is ready-heap bookkeeping and condvar
+// traffic rather than useful work. Sweeps pool sizes {1,4,8} x fan-out
+// widths and reports tasks/sec per cell. Emits BENCH_sched_overhead.json.
 //
 // Each cell is measured twice: observability disabled ("off") and with
 // metrics + tracing enabled ("on"). The off column must not trail the on
@@ -40,23 +37,19 @@ namespace {
 struct Cell {
   size_t pool = 0;
   size_t fanout = 0;
-  /// The requested queue kind (labels the row even where kSharded falls
-  /// back to the centralized drain for lack of a second worker).
-  bool sharded = false;
   /// Observability disabled / enabled columns.
   double tasks_per_sec_off = 0.0;
   double tasks_per_sec_on = 0.0;
-  SchedulerStats stats;
 };
 
 /// Builds and runs one graph configuration `reps` times (plus an untimed
-/// warmup); returns best-of tasks/sec and that run's counters.
-double MeasureOnce(size_t pool_size, size_t fanout, ReadyQueueKind queue,
-                   size_t num_queries, int reps, SchedulerStats* best_stats) {
+/// warmup); returns best-of tasks/sec.
+double MeasureOnce(size_t pool_size, size_t fanout, size_t num_queries,
+                   int reps) {
   double best = 0.0;
   for (int rep = -1; rep < reps; ++rep) {  // rep -1 = warmup, untimed.
     ThreadPool pool(pool_size);
-    TaskGraph graph(&pool, queue);
+    TaskGraph graph(&pool);
     for (size_t q = 0; q < num_queries; ++q) {
       TaskGraph::TaskId root =
           graph.Add(TaskKey{q, TaskPhase::kGeneric, 0, 0},
@@ -76,32 +69,25 @@ double MeasureOnce(size_t pool_size, size_t fanout, ReadyQueueKind queue,
     if (rep < 0) continue;
     const double tps =
         wall > 0 ? static_cast<double>(graph.num_tasks()) / wall : 0.0;
-    if (tps > best) {
-      best = tps;
-      if (best_stats != nullptr) *best_stats = graph.scheduler_stats();
-    }
+    if (tps > best) best = tps;
   }
   return best;
 }
 
-Cell RunCell(size_t pool_size, size_t fanout, ReadyQueueKind queue,
-             size_t num_queries, int reps) {
+Cell RunCell(size_t pool_size, size_t fanout, size_t num_queries, int reps) {
   Cell cell;
   cell.pool = pool_size;
   cell.fanout = fanout;
-  cell.sharded = queue == ReadyQueueKind::kSharded;
   // Off column: the disabled fast path every production-quiet run takes.
   obs::SetMetricsEnabled(false);
   obs::TraceRecorder::Global().SetEnabled(false);
-  cell.tasks_per_sec_off =
-      MeasureOnce(pool_size, fanout, queue, num_queries, reps, &cell.stats);
+  cell.tasks_per_sec_off = MeasureOnce(pool_size, fanout, num_queries, reps);
   // On column: full instrumentation (span per task + per-phase histogram).
   // A bounded ring keeps the hundred-thousand-span runs from growing
   // memory; drop-oldest is fine, throughput is what is measured.
   obs::SetMetricsEnabled(true);
   obs::TraceRecorder::Global().SetEnabled(true);
-  cell.tasks_per_sec_on =
-      MeasureOnce(pool_size, fanout, queue, num_queries, reps, nullptr);
+  cell.tasks_per_sec_on = MeasureOnce(pool_size, fanout, num_queries, reps);
   obs::TraceRecorder::Global().SetEnabled(false);
   obs::TraceRecorder::Global().Clear();
   return cell;
@@ -117,10 +103,7 @@ int Run(int argc, char** argv) {
   std::vector<Cell> cells;
   for (size_t pool : pools) {
     for (size_t fanout : fanouts) {
-      for (ReadyQueueKind queue :
-           {ReadyQueueKind::kCentralized, ReadyQueueKind::kSharded}) {
-        cells.push_back(RunCell(pool, fanout, queue, num_queries, reps));
-      }
+      cells.push_back(RunCell(pool, fanout, num_queries, reps));
     }
   }
   // Leave the process in the default observability state (metrics on).
@@ -128,19 +111,17 @@ int Run(int argc, char** argv) {
 
   std::printf("scheduler overhead: %zu queries per graph, best of %d\n",
               num_queries, reps);
-  std::printf("  %-6s %-7s %-12s %14s %14s %8s %10s\n", "pool", "fanout",
-              "queue", "tasks/s (off)", "tasks/s (on)", "on/off", "steals");
+  std::printf("  %-6s %-7s %14s %14s %8s\n", "pool", "fanout",
+              "tasks/s (off)", "tasks/s (on)", "on/off");
   double log_sum_off = 0.0;
   double log_sum_on = 0.0;
   size_t measured = 0;
   for (const Cell& c : cells) {
-    std::printf("  %-6zu %-7zu %-12s %14.0f %14.0f %7.2f%% %10llu\n", c.pool,
-                c.fanout, c.sharded ? "sharded" : "centralized",
+    std::printf("  %-6zu %-7zu %14.0f %14.0f %7.2f%%\n", c.pool, c.fanout,
                 c.tasks_per_sec_off, c.tasks_per_sec_on,
                 c.tasks_per_sec_off > 0
                     ? 100.0 * c.tasks_per_sec_on / c.tasks_per_sec_off
-                    : 0.0,
-                static_cast<unsigned long long>(c.stats.steals));
+                    : 0.0);
     if (c.tasks_per_sec_off > 0 && c.tasks_per_sec_on > 0) {
       log_sum_off += std::log(c.tasks_per_sec_off);
       log_sum_on += std::log(c.tasks_per_sec_on);
@@ -168,16 +149,11 @@ int Run(int argc, char** argv) {
   json.Set("reps", reps);
   for (const Cell& c : cells) {
     const std::string key = "pool" + std::to_string(c.pool) + "_fan" +
-                            std::to_string(c.fanout) + "_" +
-                            (c.sharded ? "sharded" : "centralized");
-    // Unsuffixed = the off column, keeping the key the cross-PR perf
-    // trajectory (tools/bench_compare.py) has been tracking all along.
+                            std::to_string(c.fanout);
+    // Unsuffixed = the off column, the one the perf trajectory
+    // (tools/bench_compare.py) tracks.
     json.Set(key + "_tasks_per_sec", c.tasks_per_sec_off);
     json.Set(key + "_tasks_per_sec_on", c.tasks_per_sec_on);
-    if (c.sharded) {
-      json.Set(key + "_steals", c.stats.steals);
-      json.Set(key + "_local_pops", c.stats.local_pops);
-    }
   }
   json.Set("geomean_tasks_per_sec_off", geomean_off);
   json.Set("geomean_tasks_per_sec_on", geomean_on);

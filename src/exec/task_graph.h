@@ -89,31 +89,6 @@ struct TaskOptions {
   QueryStage claim_stage = QueryStage::kNotStarted;
 };
 
-/// Ready-queue implementation selector (see TaskGraph constructor).
-/// `kAuto` picks sharded when the pool has 2+ workers and centralized
-/// otherwise; the explicit values exist so benchmarks can pit the two
-/// against each other on the same graph shape.
-enum class ReadyQueueKind : uint8_t { kAuto = 0, kCentralized = 1,
-                                      kSharded = 2 };
-
-/// Post-Run scheduler counters (see TaskGraph::scheduler_stats).
-struct SchedulerStats {
-  /// Ready items a worker took from another worker's shard (FIFO side).
-  uint64_t steals = 0;
-  /// Ready items a worker popped from its own shard (LIFO side).
-  uint64_t local_pops = 0;
-  /// Pops from the central urgent heap (claim tokens, high-priority and
-  /// deadline-bearing nodes; in centralized mode, everything).
-  uint64_t urgent_pops = 0;
-  /// Pops from the central low-priority backlog heap.
-  uint64_t backlog_pops = 0;
-  /// Peak number of nodes simultaneously parked behind endpoint
-  /// admission gates.
-  uint64_t parked_peak = 0;
-  /// True when the sharded (work-stealing) queue was active.
-  bool sharded = false;
-};
-
 /// Dependency-tracking scheduler over (query, provider, phase, shard) task
 /// nodes: the barrier-free replacement for the orchestrator's lock-step
 /// `ParallelFor` phases. Nodes become ready when every dependency has
@@ -125,21 +100,18 @@ struct SchedulerStats {
 /// transport-backed endpoint can park the call on its own dispatch thread
 /// and free the worker — one slow provider never stalls the graph.
 ///
-/// Ready-queue layout: with 2+ workers the graph runs a sharded
-/// work-stealing queue — each worker owns a deque whose front is its LIFO
-/// local slot (nodes added from inside a running body land there, still
-/// cache-hot) and whose back is the FIFO steal side for idle peers.
-/// Urgency still wins globally: claim tokens, high-priority and
-/// deadline-bearing nodes go through a central urgent heap every worker
-/// checks first, and low-priority nodes sink to a central backlog heap
-/// checked only when stealing found nothing — so priority/deadline work
-/// is never buried in a busy worker's local deque. With 0–1 workers
-/// everything routes through the central heap and the drain order is the
-/// exact strict total order (claim, priority, deadline, TaskKey, seq) the
-/// PR 5 tests pin — single-threaded drains are bit-for-bit reproducible.
-/// Wakeups are batched: a burst of newly-ready nodes costs one condvar
-/// signal, and sleepers are signalled only when someone is actually
-/// asleep.
+/// Ready queue: one heap under the graph's mutex, drained at every pool
+/// size in the strict total order (claim token, priority, deadline,
+/// TaskKey, seq), so low-priority nodes run last among ready work and
+/// single-threaded drains are bit-for-bit reproducible. Wakeups are
+/// batched: a burst of newly-ready nodes costs one condvar signal, and
+/// sleepers are signalled only when someone is actually asleep.
+/// Endpoint affinity: when a node run by a drainer releases its
+/// endpoint's admission slot to a parked node, that drainer runs the
+/// parked node next, bypassing the heap, unless a claim token or a node
+/// of higher priority or earlier deadline is ready; a provider's calls
+/// then stay on one core. Only multi-drainer runs park nodes, so
+/// single-threaded drains keep the strict order.
 ///
 /// Error containment: a node body returns Status (exceptions are caught
 /// and converted); failures never cancel other nodes. `FirstError()`
@@ -166,11 +138,8 @@ class TaskGraph {
   static constexpr TaskId kNoTask = std::numeric_limits<size_t>::max();
 
   /// A null (or single-thread) pool runs the whole graph inline on the
-  /// Run() caller, in deterministic ready-queue (urgency) order. `queue`
-  /// selects the ready-queue implementation; kSharded still needs 2+
-  /// workers to actually shard (there is nobody to steal from otherwise).
-  explicit TaskGraph(ThreadPool* pool,
-                     ReadyQueueKind queue = ReadyQueueKind::kAuto);
+  /// Run() caller, in deterministic ready-queue (urgency) order.
+  explicit TaskGraph(ThreadPool* pool);
 
   TaskGraph(const TaskGraph&) = delete;
   TaskGraph& operator=(const TaskGraph&) = delete;
@@ -199,10 +168,6 @@ class TaskGraph {
   /// (async dispatch wait excluded): the latency floor no amount of
   /// parallelism can beat for this batch.
   double CriticalPathSeconds() const;
-
-  /// Scheduler counters of the completed Run (diagnostics; see
-  /// SchedulerStats).
-  SchedulerStats scheduler_stats() const;
 
   /// From inside a running task: runs body(0..n-1) as shard children of
   /// the current node, sharing the graph's ready queue and workers with
@@ -250,6 +215,17 @@ class TaskGraph {
     const std::function<void(size_t)>* body = nullptr;
   };
 
+  /// A node ProcessItem is executing synchronously on this thread, and
+  /// the next node OnNodeDone handed to the same thread (kNoTask: none).
+  struct Handoff {
+    TaskGraph* graph;
+    TaskId next;
+  };
+  /// Points at ProcessItem's Handoff only while it executes a node on
+  /// this thread, so a completion on a transport dispatch thread never
+  /// hands work to a drainer.
+  static thread_local Handoff* tls_handoff_;
+
   /// Ready-queue entry: a node, or a claim token for a child batch,
   /// carrying the urgency fields the heap orders by (copied from the
   /// node so ordering needs no nodes_ lookups).
@@ -270,30 +246,24 @@ class TaskGraph {
     bool operator()(const ReadyItem& a, const ReadyItem& b) const;
   };
 
-  /// One worker's slice of the sharded ready queue. Only the owning
-  /// worker pushes/pops the front (LIFO, cache-hot); thieves pop the back
-  /// (FIFO). Padded so neighboring shards never share a cache line.
-  struct alignas(64) Shard {
-    std::mutex m;
-    std::deque<ReadyItem> dq;
-  };
-
-  /// Routes a ready item to the right queue (central heap or a shard) and
-  /// bumps the ready count. Caller holds mutex_.
-  void PushItemLocked(ReadyItem&& item);
   void PushNodeReadyLocked(TaskId id);
   /// Wakes sleepers for `pushed` newly-ready items: nothing when nobody
   /// sleeps, one signal for one item, a broadcast for a burst — never one
   /// signal per item. Caller holds mutex_.
   void WakeForReadyLocked(size_t pushed);
-  /// Pops the most appropriate ready item for worker `slot`: urgent heap,
-  /// then own shard front, then other shards' backs, then the backlog
-  /// heap. False when every queue looked empty.
-  bool TryPop(size_t slot, ReadyItem* item);
-  /// Admission/bypass bookkeeping for a popped item, then execution.
-  void ProcessItem(ReadyItem& item);
+  /// Pops ready items in heap order until the graph finishes, sleeping on
+  /// cv_ready_ while the heap is empty; processes each item unlocked.
   void DrainUntilFinished();
-  void ExecuteNode(TaskId id);
+  /// Runs a popped claim token's children, or admits and executes a
+  /// popped node, then any node its completion handed to this thread.
+  void ProcessItem(const ReadyItem& item);
+  /// Endpoint gate and cancelled-bypass bookkeeping for a popped node.
+  /// False when the node parked behind its endpoint's in-flight nodes.
+  /// Caller holds mutex_.
+  bool AdmitNodeLocked(TaskId id);
+  /// Runs `node` (resolved under mutex_ by the caller, which no longer
+  /// holds it), through its endpoint's IssueAsync when it holds the gate.
+  void ExecuteNode(TaskId id, Node* node);
   void OnNodeDone(TaskId id, const Status& status, double seconds);
   void DrainBatch(ChildBatch* batch);
   /// Per-endpoint admission: at most `endpoint->max_concurrent_calls()`
@@ -306,25 +276,22 @@ class TaskGraph {
   /// urgent parked node. Nodes whose cancel token fired bypass the gate
   /// entirely (see TaskOptions).
   bool TryAdmitEndpointNode(TaskId id, ProviderEndpoint* endpoint);
-  /// Hands `endpoint`'s admission slot to its most urgent parked node
-  /// (re-queued holding the gate) or shrinks the in-flight count. The
-  /// caller holds mutex_ and has already cleared the releasing node's
-  /// holds_gate.
-  void ReleaseEndpointGateLocked(ProviderEndpoint* endpoint);
+  /// Hands `endpoint`'s admission slot to its most urgent parked node,
+  /// returned holding the gate for the caller to run or queue, or shrinks
+  /// the in-flight count and returns kNoTask. The caller holds mutex_ and
+  /// has already cleared the releasing node's holds_gate.
+  TaskId ReleaseEndpointGateLocked(ProviderEndpoint* endpoint);
+  /// True when the ready heap's top is a claim token or has a higher
+  /// priority or an earlier deadline than node `id`. Caller holds mutex_.
+  bool ReadyOutranksLocked(TaskId id) const;
   /// True when parked node `a` outranks parked node `b` (same order as
   /// the ready heap, with TaskId as the insertion-order tie-break).
   bool MoreUrgentNode(TaskId a, TaskId b) const;
 
   ThreadPool* pool_;
-  /// True when the sharded work-stealing queue is active (2+ workers and
-  /// the queue kind allows it); frozen at construction.
-  bool sharded_ = false;
-  size_t num_shards_ = 0;
-  std::unique_ptr<Shard[]> shards_;
 
-  /// Guards nodes_, the central heaps, endpoint gates, and the lifecycle
-  /// flags. Shard deques have their own locks; lock order is always
-  /// mutex_ -> shard (never the reverse).
+  /// Guards nodes_, the ready heap, endpoint gates, and the lifecycle
+  /// flags.
   mutable std::mutex mutex_;
   /// Signalled when ready items appear or the graph finishes; waited on
   /// by idle drainers only.
@@ -335,32 +302,13 @@ class TaskGraph {
   std::condition_variable cv_done_;
   /// deque: node addresses stay stable across Add while bodies run.
   std::deque<Node> nodes_;
-  /// Claim tokens, high-priority and deadline-bearing nodes — and, in
-  /// centralized mode, every ready item — in strict LessUrgent order.
+  /// Every ready node and claim token, in strict LessUrgent order.
   std::priority_queue<ReadyItem, std::vector<ReadyItem>, LessUrgent> ready_;
-  /// Low-priority (priority > 1) nodes, drained only when nothing else is
-  /// available anywhere.
-  std::priority_queue<ReadyItem, std::vector<ReadyItem>, LessUrgent> backlog_;
   uint64_t ready_seq_ = 0;
-  /// Round-robin cursor for shard pushes from non-worker threads.
-  size_t rr_cursor_ = 0;
-  /// Lock-free mirrors of queue occupancy, so the pop path only takes
-  /// mutex_ when the central heaps are actually non-empty and the sleep
-  /// path can re-check readiness under mutex_ without scanning shards.
-  std::atomic<size_t> urgent_count_{0};
-  std::atomic<size_t> backlog_count_{0};
-  std::atomic<size_t> ready_count_{0};
-  /// Next worker slot DrainUntilFinished hands out (caller + helpers).
-  std::atomic<size_t> next_slot_{0};
-  /// Idle drainers currently in (or entering) cv_ready_ wait. Read and
-  /// written under mutex_.
+  /// Idle drainers currently in (or entering) cv_ready_ wait.
   size_t idle_count_ = 0;
-
-  /// Scheduler counters (see SchedulerStats).
-  std::atomic<uint64_t> steals_{0};
-  std::atomic<uint64_t> local_pops_{0};
-  std::atomic<uint64_t> urgent_pops_{0};
-  std::atomic<uint64_t> backlog_pops_{0};
+  /// Nodes parked behind endpoint gates now, and their high-water mark
+  /// (folded into the `scheduler.parked_peak` gauge after Run).
   size_t parked_count_ = 0;
   size_t parked_peak_ = 0;
 

@@ -460,13 +460,6 @@ void RunBatchTaskGraph(const BatchContext& ctx, ThreadPool* pool,
   graph.Run();
   stats->critical_path_seconds = graph.CriticalPathSeconds();
   stats->num_tasks = graph.num_tasks();
-  const SchedulerStats sched = graph.scheduler_stats();
-  stats->sched_steals = sched.steals;
-  stats->sched_local_pops = sched.local_pops;
-  stats->sched_urgent_pops = sched.urgent_pops;
-  stats->sched_backlog_pops = sched.backlog_pops;
-  stats->sched_parked_peak = sched.parked_peak;
-  stats->sched_sharded = sched.sharded;
 }
 
 }  // namespace

@@ -134,18 +134,6 @@ struct BatchRunStats {
   double wall_seconds = 0.0;
   double critical_path_seconds = 0.0;
   size_t num_tasks = 0;
-  /// Ready-queue profile of the task-graph run (all zero under the
-  /// barrier scheduler): cross-shard steals, own-shard (cache-hot) pops,
-  /// central urgent/backlog heap pops, and the peak number of nodes
-  /// simultaneously parked behind endpoint admission gates.
-  uint64_t sched_steals = 0;
-  uint64_t sched_local_pops = 0;
-  uint64_t sched_urgent_pops = 0;
-  uint64_t sched_backlog_pops = 0;
-  uint64_t sched_parked_peak = 0;
-  /// True when the sharded work-stealing ready queue was active (2+
-  /// pool workers); false for the centralized strict-total-order drain.
-  bool sched_sharded = false;
 };
 
 /// One query's result inside a batch: either a response or the status that

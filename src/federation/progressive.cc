@@ -30,8 +30,6 @@ struct ProviderState {
   size_t consumed = 0;
   /// Scan cache so clusters shared between rounds are scanned once.
   std::unordered_map<size_t, double> scans;
-  /// Decode buffers reused across this provider's mapped-cluster scans.
-  ScanScratch scratch;
   /// Running vectors feeding the Hansen-Hurwitz estimator.
   std::vector<double> results;
   std::vector<double> probs;
@@ -195,8 +193,7 @@ Result<std::vector<ProgressiveRound>> ExecuteProgressive(
         if (it == st.scans.end()) {
           const uint32_t cluster_id = st.cover.cluster_ids[cover_idx];
           ScanResult scan = st.provider->store().ScanCluster(
-              cluster_id, query, ProfileFor(query.aggregation()),
-              &st.scratch);
+              cluster_id, query, ProfileFor(query.aggregation()));
           it = st.scans
                    .emplace(cover_idx, static_cast<double>(
                                            scan.For(query.aggregation())))

@@ -126,13 +126,12 @@ Result<LocalEstimate> DataProvider::Approximate(
   std::vector<double> cluster_value(distinct.size(), 0.0);
   const ShardedScanExecutor& ex = ScanExec(exec);
   const ScanProfile profile = ProfileFor(query.aggregation());
-  std::vector<ScanScratch> scratches(ex.NumShardsFor(distinct.size()));
   std::vector<double> shard_seconds =
-      ex.ForEachShard(distinct.size(), [&](size_t shard, ShardRange range) {
+      ex.ForEachShard(distinct.size(), [&](size_t, ShardRange range) {
         for (size_t k = range.begin; k < range.end; ++k) {
           cluster_value[k] = static_cast<double>(
               store_.ScanCluster(cover.cluster_ids[distinct[k]], query,
-                                 profile, &scratches[shard])
+                                 profile)
                   .For(query.aggregation()));
         }
       });

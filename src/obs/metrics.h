@@ -173,11 +173,12 @@ struct MetricSample {
 
 /// Named-metric registry: the one place every subsystem's counters live.
 ///
-/// Naming convention: dotted `subsystem.metric` (e.g. `scheduler.steals`,
-/// `rpc.client.bytes_sent`, `cache.exact_hits`, `accountant.charges`);
-/// histograms name the measured unit (`task.seconds.estimate`). Lookup
-/// takes a mutex but returns a stable pointer — hot paths resolve their
-/// handle once (function-local static) and then increment lock-free.
+/// Naming convention: dotted `subsystem.metric` (e.g.
+/// `scheduler.graphs_run`, `rpc.client.bytes_sent`, `cache.exact_hits`,
+/// `accountant.charges`); histograms name the measured unit
+/// (`task.seconds.estimate`). Lookup takes a mutex but returns a stable
+/// pointer — hot paths resolve their handle once (function-local static)
+/// and then increment lock-free.
 ///
 /// Snapshot() merges the per-thread stripes under the registry mutex and
 /// returns samples sorted by name; it is safe concurrently with

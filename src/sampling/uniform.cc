@@ -86,11 +86,10 @@ Result<UniformClusterEstimate> UniformClusterSample(const ClusterStore& store,
   probs.reserve(picks.size());
   double uniform_p = 1.0 / static_cast<double>(store.num_clusters());
   const ScanProfile profile = ProfileFor(query.aggregation());
-  ScanScratch scratch;
   size_t rows_scanned = 0;
   Stopwatch scan_timer;
   for (size_t idx : picks) {
-    ScanResult r = store.ScanCluster(idx, query, profile, &scratch);
+    ScanResult r = store.ScanCluster(idx, query, profile);
     results.push_back(static_cast<double>(r.For(query.aggregation())));
     probs.push_back(uniform_p);
     rows_scanned += store.ClusterRows(idx);

@@ -124,16 +124,12 @@ size_t ClusterStore::ClusterRows(size_t i) const {
 }
 
 ScanResult ClusterStore::ScanCluster(size_t i, const RangeQuery& query,
-                                     ScanProfile profile,
-                                     ScanScratch* scratch) const {
+                                     ScanProfile profile) const {
   if (mapped_file_ == nullptr) {
     return clusters_[i].Scan(query, profile);
   }
   const MappedStoreFile& file = *mapped_file_;
-  ScanScratch local;
-  if (scratch == nullptr) scratch = &local;
   const size_t dims = file.num_dims();
-  if (scratch->dims.size() < dims) scratch->dims.resize(dims);
 
   constexpr size_t kStackCols = 16;
   PackedColumn stack_cols[kStackCols];
@@ -143,16 +139,11 @@ ScanResult ClusterStore::ScanCluster(size_t i, const RangeQuery& query,
     heap_cols.resize(dims);
     cols = heap_cols.data();
   }
-  // kFor columns are scanned in place from the mapping; only kDelta
-  // columns the query touches decode, into the scratch buffers.
   for (const DimRange& range : query.ranges()) {
-    cols[range.dim_index] =
-        file.ScanView(i, range.dim_index, &scratch->dims[range.dim_index]);
+    cols[range.dim_index] = file.ScanView(i, range.dim_index);
   }
   PackedColumn measures;
-  if (ProfileNeedsMeasures(profile)) {
-    measures = file.ScanView(i, dims, &scratch->measures);
-  }
+  if (ProfileNeedsMeasures(profile)) measures = file.ScanView(i, dims);
   return ScanColumnsForQuery(query, cols, measures, file.cluster_rows(i),
                              profile);
 }
@@ -182,13 +173,11 @@ int64_t ClusterStore::EvaluateExact(const RangeQuery& query,
   // merge still walks shard order so the code path stays identical to the
   // floating-point merges elsewhere.
   std::vector<int64_t> partials(num_shards, 0);
-  std::vector<ScanScratch> scratches(num_shards);
   std::vector<double> seconds =
       ex.ForEachShard(n, [&](size_t shard, ShardRange range) {
         int64_t acc = 0;
         for (size_t c = range.begin; c < range.end; ++c) {
-          acc = WrapAdd(acc, ScanCluster(c, query, profile,
-                                         &scratches[shard])
+          acc = WrapAdd(acc, ScanCluster(c, query, profile)
                                  .For(query.aggregation()));
         }
         partials[shard] = acc;
@@ -233,13 +222,11 @@ Result<ScanResult> ClusterStore::ScanClusters(const RangeQuery& query,
   const ShardedScanExecutor& ex = ShardedScanExecutor::OrInline(exec);
   const size_t num_shards = ex.NumShardsFor(ids.size());
   std::vector<ScanResult> partials(num_shards);
-  std::vector<ScanScratch> scratches(num_shards);
   std::vector<double> seconds =
       ex.ForEachShard(ids.size(), [&](size_t shard, ShardRange range) {
         ScanResult acc;
         for (size_t i = range.begin; i < range.end; ++i) {
-          ScanResult r =
-              ScanCluster(ids[i], query, profile, &scratches[shard]);
+          ScanResult r = ScanCluster(ids[i], query, profile);
           acc.count += r.count;
           acc.sum = WrapAdd(acc.sum, r.sum);
           acc.sum_squares = WrapAdd(acc.sum_squares, r.sum_squares);

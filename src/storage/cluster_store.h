@@ -49,19 +49,6 @@ struct ClusterStoreOptions {
   size_t num_scan_shards = 1;
 };
 
-/// Reusable decode buffers for scanning a mapped store's delta-coded
-/// columns (frame-of-reference columns scan in place and never touch it).
-/// One per shard (never shared across threads); scans of a resident store
-/// ignore it.
-/// Holding one across calls amortizes the per-cluster column allocations
-/// down to zero once the high-water cluster size has been seen.
-struct ScanScratch {
-  /// Per-dimension decode buffers (only query-constrained dims decode).
-  std::vector<std::vector<int64_t>> dims;
-  /// Measure-column decode buffer.
-  std::vector<int64_t> measures;
-};
-
 /// Publishes one logical scan (storage.rows_scanned / storage.scan_seconds)
 /// to the metric registry. EvaluateExact and ScanClusters call it
 /// themselves; callers that drive ScanCluster directly (the sampled
@@ -77,9 +64,8 @@ void RecordStoreScan(size_t rows, double seconds);
 ///  - resident: clusters live on the heap as packed frame-of-reference
 ///    columns (Build);
 ///  - mapped: clusters live in a read-only mmap of a compressed store
-///    file (OpenMapped). Frame-of-reference columns share the resident
-///    byte layout and are scanned in place; delta-coded columns decode
-///    lazily, one cluster per scan, into ScanScratch buffers.
+///    file (OpenMapped), whose columns share the resident byte layout
+///    and are scanned in place.
 /// Both feed the exact same scan kernels, so answers are bit-identical
 /// across backends. Scans and totals work on either; `cluster()` /
 /// `clusters()` (zero-copy references) are resident-only — streaming
@@ -123,15 +109,10 @@ class ClusterStore {
     return clusters_;
   }
 
-  /// Scans one cluster. Resident: zero-copy over the packed columns.
-  /// Mapped: scans frame-of-reference columns in place and decodes the
-  /// query-constrained delta-coded columns (and the measure column when
-  /// `profile` needs it and it is delta-coded) into `scratch`; the same
-  /// kernel runs either way. Pass a per-shard ScanScratch to amortize
-  /// decode allocations; nullptr uses a transient one.
+  /// Scans one cluster with the same kernel on either backend, zero-copy
+  /// over the packed columns: resident on the heap, mapped in place.
   ScanResult ScanCluster(size_t i, const RangeQuery& query,
-                         ScanProfile profile = ScanProfile::kAll,
-                         ScanScratch* scratch = nullptr) const;
+                         ScanProfile profile = ScanProfile::kAll) const;
 
   /// Streams every cluster in id order through `fn`. Resident clusters
   /// are passed by reference; mapped clusters are materialized one at a

@@ -42,28 +42,16 @@ bool ValidWidth(uint8_t w) {
   return w == 0 || w == 1 || w == 2 || w == 4 || w == 8;
 }
 
-uint64_t ZigZag(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^
-         static_cast<uint64_t>(v >> 63);
-}
-
-int64_t UnZigZag(uint64_t z) {
-  return static_cast<int64_t>(z >> 1) ^ -static_cast<int64_t>(z & 1);
-}
-
 void PutPacked(ByteWriter* w, uint64_t v, uint8_t width) {
   for (uint8_t b = 0; b < width; ++b) {
     w->PutU8(static_cast<uint8_t>(v >> (8 * b)));
   }
 }
 
-/// The per-column save-time decision: frame-of-reference vs delta, at the
-/// smallest byte width that fits; smaller width wins, FOR breaks ties
-/// (its decode is branch-free and vectorizes).
+/// The per-column save-time layout: frame-of-reference from the column
+/// min, at the smallest byte width that fits the column's range.
 struct ColumnPlan {
-  ColumnEncoding encoding = ColumnEncoding::kFor;
   uint8_t width = 0;
-  int64_t reference = 0;
   int64_t min_value = 0;
   int64_t max_value = 0;
 };
@@ -81,25 +69,8 @@ ColumnPlan PlanColumn(const int64_t* v, size_t n) {
     mn = std::min(mn, v[i]);
     mx = std::max(mx, v[i]);
   }
-  const uint8_t for_width =
+  plan.width =
       PackedWidthFor(static_cast<uint64_t>(mx) - static_cast<uint64_t>(mn));
-  uint64_t max_zz = 0;  // entry 0 is zigzag(0), never the max
-  uint64_t prev = static_cast<uint64_t>(v[0]);
-  for (size_t i = 1; i < n; ++i) {
-    const uint64_t cur = static_cast<uint64_t>(v[i]);
-    max_zz = std::max(max_zz, ZigZag(static_cast<int64_t>(cur - prev)));
-    prev = cur;
-  }
-  const uint8_t delta_width = PackedWidthFor(max_zz);
-  if (delta_width < for_width) {
-    plan.encoding = ColumnEncoding::kDelta;
-    plan.width = delta_width;
-    plan.reference = v[0];
-  } else {
-    plan.encoding = ColumnEncoding::kFor;
-    plan.width = for_width;
-    plan.reference = mn;
-  }
   plan.min_value = mn;
   plan.max_value = mx;
   return plan;
@@ -112,23 +83,14 @@ void EncodeColumn(const int64_t* v, size_t n, ByteWriter* dir,
   const ColumnPlan plan = PlanColumn(v, n);
   const uint64_t offset = data->size();
   if (plan.width > 0) {
-    if (plan.encoding == ColumnEncoding::kFor) {
-      const uint64_t ref = static_cast<uint64_t>(plan.reference);
-      for (size_t i = 0; i < n; ++i) {
-        PutPacked(data, static_cast<uint64_t>(v[i]) - ref, plan.width);
-      }
-    } else {
-      uint64_t prev = static_cast<uint64_t>(plan.reference);
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t cur = static_cast<uint64_t>(v[i]);
-        PutPacked(data, ZigZag(static_cast<int64_t>(cur - prev)), plan.width);
-        prev = cur;
-      }
+    const uint64_t ref = static_cast<uint64_t>(plan.min_value);
+    for (size_t i = 0; i < n; ++i) {
+      PutPacked(data, static_cast<uint64_t>(v[i]) - ref, plan.width);
     }
   }
-  dir->PutU8(static_cast<uint8_t>(plan.encoding));
+  dir->PutU8(static_cast<uint8_t>(ColumnEncoding::kFor));
   dir->PutU8(plan.width);
-  dir->PutI64(plan.reference);
+  dir->PutI64(plan.min_value);  // the reference
   dir->PutI64(plan.min_value);
   dir->PutI64(plan.max_value);
   dir->PutU64(offset);
@@ -253,14 +215,10 @@ Result<std::shared_ptr<const MappedStoreFile>> MappedStoreFile::Open(
       FEDAQP_ASSIGN_OR_RETURN(info.max_value, r.GetI64());
       FEDAQP_ASSIGN_OR_RETURN(info.offset, r.GetU64());
       FEDAQP_ASSIGN_OR_RETURN(info.byte_len, r.GetU64());
-      if (info.encoding > static_cast<uint8_t>(ColumnEncoding::kDelta)) {
+      if (info.encoding != static_cast<uint8_t>(ColumnEncoding::kFor)) {
         return Corrupt("unknown column encoding");
       }
       if (!ValidWidth(info.width)) return Corrupt("bad column width");
-      if (info.width == 0 &&
-          info.encoding != static_cast<uint8_t>(ColumnEncoding::kFor)) {
-        return Corrupt("constant column must be frame-of-reference");
-      }
       const uint64_t expected = n * info.width;
       if (info.byte_len != expected) return Corrupt("column length mismatch");
       cols.push_back(info);
@@ -296,7 +254,16 @@ MappedStoreFile::~MappedStoreFile() {
   }
 }
 
-PackedColumn MappedStoreFile::ForView(const ColInfo& info) const {
+void MappedStoreFile::DecodeColumn(size_t c, size_t column,
+                                   std::vector<int64_t>* out) const {
+  const PackedColumn view = ScanView(c, column);
+  const size_t n = cluster_rows(c);
+  out->resize(n);
+  for (size_t i = 0; i < n; ++i) (*out)[i] = view.At(i);
+}
+
+PackedColumn MappedStoreFile::ScanView(size_t c, size_t column) const {
+  const ColInfo& info = col(c, column);
   PackedColumn view;
   view.data = data_ + info.offset;
   view.width = info.width;
@@ -304,56 +271,13 @@ PackedColumn MappedStoreFile::ForView(const ColInfo& info) const {
   return view;
 }
 
-void MappedStoreFile::DecodeColumn(size_t c, size_t column,
-                                   std::vector<int64_t>* out) const {
-  const ColInfo& info = col(c, column);
-  const size_t n = cluster_rows(c);
-  out->resize(n);
-  int64_t* dst = out->data();
-  if (info.encoding == static_cast<uint8_t>(ColumnEncoding::kFor)) {
-    const PackedColumn view = ForView(info);
-    for (size_t i = 0; i < n; ++i) dst[i] = view.At(i);
-    return;
-  }
-  // Delta: a wrap-safe prefix sum (entry 0 is zigzag(0), so the uniform
-  // loop reproduces reference at row 0). The zigzag entries share the
-  // packed layout; read them raw, at reference 0.
-  PackedColumn entries = ForView(info);
-  entries.reference = 0;
-  uint64_t acc = static_cast<uint64_t>(info.reference);
-  for (size_t i = 0; i < n; ++i) {
-    acc += static_cast<uint64_t>(
-        UnZigZag(static_cast<uint64_t>(entries.At(i))));
-    dst[i] = static_cast<int64_t>(acc);
-  }
-}
-
-PackedColumn MappedStoreFile::ScanView(size_t c, size_t column,
-                                       std::vector<int64_t>* scratch) const {
-  const ColInfo& info = col(c, column);
-  if (info.encoding == static_cast<uint8_t>(ColumnEncoding::kFor)) {
-    return ForView(info);
-  }
-  DecodeColumn(c, column, scratch);
-  return Int64Column(scratch->data());
-}
-
 Cluster MappedStoreFile::MaterializeCluster(size_t c) const {
   const size_t dims = num_dims();
-  const size_t n = cluster_rows(c);
-  std::vector<int64_t> decoded;
   auto copy_column = [&](size_t column) {
     const ColInfo& info = col(c, column);
-    if (info.encoding == static_cast<uint8_t>(ColumnEncoding::kFor)) {
-      const uint8_t* src = data_ + info.offset;
-      return PackedBuffer(std::vector<uint8_t>(src, src + info.byte_len),
-                          info.width, info.reference);
-    }
-    DecodeColumn(c, column, &decoded);
-    Value unused_min = 0;
-    Value unused_max = 0;
-    return PackedBuffer::Pack(
-        n, [&](size_t i) { return decoded[i]; }, &unused_min, &unused_max);
+    const uint8_t* src = data_ + info.offset;
+    return PackedBuffer(std::vector<uint8_t>(src, src + info.byte_len),
+                        info.width, info.reference);
   };
   std::vector<PackedBuffer> columns;
   columns.reserve(dims);
@@ -365,9 +289,9 @@ Cluster MappedStoreFile::MaterializeCluster(size_t c) const {
     maxs[d] = col(c, d).max_value;
   }
   PackedBuffer measures = copy_column(dims);
-  return Cluster::FromPacked(static_cast<uint32_t>(c), n, std::move(columns),
-                             std::move(measures), std::move(mins),
-                             std::move(maxs));
+  return Cluster::FromPacked(static_cast<uint32_t>(c), cluster_rows(c),
+                             std::move(columns), std::move(measures),
+                             std::move(mins), std::move(maxs));
 }
 
 uint64_t MappedStoreFile::TotalMappedBytes() {

@@ -14,18 +14,13 @@ namespace fedaqp {
 
 class ClusterStore;
 
-/// Per-cluster column encodings of the mapped store file. Both are
-/// byte-aligned fixed-width packings chosen per column at save time —
-/// whichever is smaller wins:
-///   kFor:   frame-of-reference. `reference` = column min; each value is
-///           stored as the unsigned delta (v - min) in `width` bytes.
-///           width 0 encodes a constant column (every value == reference).
-///   kDelta: consecutive-difference coding for value-correlated columns
-///           (sorted layouts, tensor cells in lexicographic order).
-///           `reference` = first value; entry i is zigzag(v[i] - v[i-1])
-///           in `width` bytes (entry 0 is zigzag(0) so the packing stays
-///           uniform).
-enum class ColumnEncoding : uint8_t { kFor = 0, kDelta = 1 };
+/// Column encoding byte of the mapped store file's directory. The one
+/// encoding is frame-of-reference: `reference` = column min, and each
+/// value is stored as the unsigned offset (v - min) in `width` bytes, the
+/// smallest byte width that fits the column's range. Width 0 encodes a
+/// constant column (every value == reference). Open rejects any other
+/// encoding byte.
+enum class ColumnEncoding : uint8_t { kFor = 0 };
 
 /// Magic tag of the mapped store format.
 constexpr uint32_t kMappedStoreMagic = 0xFEDA0003;
@@ -44,13 +39,12 @@ constexpr uint32_t kMappedStoreMagic = 0xFEDA0003;
 /// Open() maps the file read-only and validates the header, version and
 /// every directory entry (widths, encodings, lengths, bounds) before any
 /// decode touches the data section — a truncated or corrupted file is
-/// rejected with a Status, never a crash. A kFor column's bytes are
-/// exactly the resident PackedColumn layout (little-endian unsigned
-/// offsets from `reference`), so scans read them in place from the
-/// mapping; only kDelta columns decode, one cluster at a time, into
-/// caller-owned scratch buffers. The directory's min/max never steer a
-/// scan, so lying bounds cannot change an answer. Resident memory stays
-/// O(scratch), not O(file).
+/// rejected with a Status, never a crash. A column's bytes are exactly the
+/// resident PackedColumn layout (little-endian unsigned offsets from
+/// `reference`), so scans read them in place from the mapping without
+/// decoding. The directory's min/max never steer a scan, so lying bounds
+/// cannot change an answer. Resident memory stays O(1) per scan, not
+/// O(file).
 class MappedStoreFile {
  public:
   /// Serializes `store` (resident clusters) into the format above.
@@ -90,15 +84,13 @@ class MappedStoreFile {
   /// `column` == num_dims selects the measure column.
   void DecodeColumn(size_t c, size_t column, std::vector<int64_t>* out) const;
 
-  /// The kernel view of column `column` of cluster `c`: a kFor column is
-  /// viewed in place in the mapping; a kDelta column is decoded into
-  /// `scratch` and viewed as plain int64 (valid until `scratch` changes).
-  PackedColumn ScanView(size_t c, size_t column,
-                        std::vector<int64_t>* scratch) const;
+  /// The kernel view of column `column` of cluster `c`, in place in the
+  /// mapping (valid while this file is open).
+  PackedColumn ScanView(size_t c, size_t column) const;
 
   /// Copies cluster `c` into a resident Cluster (metadata build, row
-  /// flattening — the streaming consumers): kFor bytes are copied as they
-  /// are, kDelta columns decode and repack.
+  /// flattening — the streaming consumers); the packed bytes are copied
+  /// as they are.
   Cluster MaterializeCluster(size_t c) const;
 
   /// Total mapped bytes across every open MappedStoreFile in the process
@@ -121,8 +113,6 @@ class MappedStoreFile {
   const ColInfo& col(size_t c, size_t column) const {
     return cols_[c * (schema_.num_dims() + 1) + column];
   }
-  /// The in-place kernel view of a kFor column.
-  PackedColumn ForView(const ColInfo& info) const;
 
   void* map_ = nullptr;
   size_t map_size_ = 0;

@@ -20,6 +20,7 @@
 
 #include "dp/accountant.h"
 #include "exec/federation_client.h"
+#include "exec/in_process_endpoint.h"
 #include "obs/audit_log.h"
 #include "serve/fair_queue.h"
 #include "serve/ledger_service.h"
@@ -266,54 +267,106 @@ TEST(FairAdmissionTest, HeavyBacklogDoesNotStarveLightAnalyst) {
 
 // ------------------------------------------------------ deadline eviction --
 
+/// Endpoint wrapper whose calls wait until `release_at`: the first call
+/// holds the single-threaded round's only worker until then, later calls
+/// pass straight through.
+class HoldUntilEndpoint : public ProviderEndpoint {
+ public:
+  HoldUntilEndpoint(std::shared_ptr<ProviderEndpoint> inner,
+                    const std::chrono::steady_clock::time_point* release_at)
+      : inner_(std::move(inner)), release_at_(release_at) {}
+
+  const EndpointInfo& info() const override { return inner_->info(); }
+  Result<CoverReply> Cover(const CoverRequest& r) override {
+    Hold();
+    return inner_->Cover(r);
+  }
+  Result<SummaryReply> PublishSummary(const SummaryRequest& r) override {
+    Hold();
+    return inner_->PublishSummary(r);
+  }
+  Result<OpenReply> Open(const OpenRequest& r) override {
+    Hold();
+    return inner_->Open(r);
+  }
+  Result<EstimateReply> Approximate(const ApproximateRequest& r) override {
+    Hold();
+    return inner_->Approximate(r);
+  }
+  Result<EstimateReply> ExactAnswer(const ExactAnswerRequest& r) override {
+    Hold();
+    return inner_->ExactAnswer(r);
+  }
+  Result<ExactScanReply> ExactFullScan(const ExactScanRequest& r) override {
+    Hold();
+    return inner_->ExactFullScan(r);
+  }
+  void EndQuery(uint64_t id) override { inner_->EndQuery(id); }
+
+ private:
+  void Hold() const { std::this_thread::sleep_until(*release_at_); }
+
+  std::shared_ptr<ProviderEndpoint> inner_;
+  const std::chrono::steady_clock::time_point* release_at_;
+};
+
 // Evicted-before-start queries refund in full, resolve to
 // kDeadlineExceeded with stats.evicted set, and the audit log still
 // replays to the live ledger bit-exactly.
 TEST(DeadlineEvictionTest, EvictedQueriesRefundFullyAndAuditReplays) {
-  // Bigger providers than the other tests: the flood below must keep one
-  // worker busy for many times the eviction deadline.
-  std::vector<std::unique_ptr<DataProvider>> providers;
-  providers.push_back(MakeProvider(12000, 901));
-  providers.push_back(MakeProvider(12000, 914));
-  providers.push_back(MakeProvider(12000, 927));
+  auto providers = MakeFederation(3);
+  Result<std::vector<std::shared_ptr<ProviderEndpoint>>> endpoints =
+      MakeInProcessEndpoints(Ptrs(providers));
+  ASSERT_TRUE(endpoints.ok());
+  std::chrono::steady_clock::time_point release_at =
+      std::chrono::steady_clock::time_point::max();
+  (*endpoints)[0] =
+      std::make_shared<HoldUntilEndpoint>((*endpoints)[0], &release_at);
   FederationClient::Options copts;
   copts.protocol = BaseConfig(1, BatchScheduler::kTaskGraph);
   copts.analysts = {{"alice", 1e6, 1e3}};
   copts.evict_expired = true;
   copts.start_paused = true;
   Result<std::unique_ptr<FederationClient>> client =
-      FederationClient::Create(Ptrs(providers), copts);
+      FederationClient::Create(*endpoints, copts);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  // One single-threaded round: a flood of deadline-less high-priority
-  // queries monopolizes the worker (the ready queue drains high before
-  // low), so the low-priority tail's first stage claims happen only
-  // after the flood — far past the tail's short deadlines. The watcher
-  // must evict the (admitted, charged) tail before it starts.
+  // One single-threaded round. The ready queue drains high before low
+  // priority, so the worker first takes a high-priority query's call on
+  // the held endpoint and sits there until well past the low-priority
+  // tail's deadlines. The watcher must evict the whole (admitted,
+  // charged) tail before any of it starts. The deadline only needs to
+  // outlast admission, which runs before the round.
+  constexpr double kDeadline = 0.05;
   std::vector<QuerySpec> specs;
-  for (size_t i = 0; i < 200; ++i) {
+  for (size_t i = 0; i < 20; ++i) {
     QuerySpec spec;
     spec.analyst = "alice";
     spec.query = WideQuery(static_cast<int>(i % 7));
     spec.priority = QueryPriority::kHigh;
     specs.push_back(std::move(spec));
   }
-  for (size_t i = 0; i < 10; ++i) {
+  constexpr size_t kTail = 10;
+  for (size_t i = 0; i < kTail; ++i) {
     QuerySpec spec;
     spec.analyst = "alice";
     spec.query = WideQuery(static_cast<int>(i % 7));
     spec.priority = QueryPriority::kLow;
-    spec.deadline_seconds = 0.003;
+    spec.deadline_seconds = kDeadline;
     specs.push_back(std::move(spec));
   }
   std::vector<QueryTicket> burst = (*client)->SubmitAll(std::move(specs));
+  release_at = std::chrono::steady_clock::now() +
+               std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   std::chrono::duration<double>(kDeadline + 0.2));
   (*client)->Resume();
   (*client)->WaitIdle();
   size_t evicted = 0;
-  for (QueryTicket& t : burst) {
-    Result<QueryResponse> resp = t.Wait();
-    const TicketStats stats = t.Stats();
+  for (size_t i = 0; i < burst.size(); ++i) {
+    Result<QueryResponse> resp = burst[i].Wait();
+    const TicketStats stats = burst[i].Stats();
     if (stats.evicted) {
       ++evicted;
+      EXPECT_GE(i, burst.size() - kTail) << "a high-priority query evicted";
       EXPECT_FALSE(resp.ok());
       EXPECT_EQ(resp.status().code(), StatusCode::kDeadlineExceeded);
       // Full refund: everything charged came back.
@@ -321,9 +374,7 @@ TEST(DeadlineEvictionTest, EvictedQueriesRefundFullyAndAuditReplays) {
       EXPECT_EQ(stats.refunded.delta, copts.protocol.per_query_budget.delta);
     }
   }
-  // The 3 ms deadline is far shorter than 200 high-priority queries on
-  // one thread; at least part of the low tail must have been evicted.
-  EXPECT_GT(evicted, 0u);
+  EXPECT_EQ(evicted, kTail);
   // Replay the audit log (charges + eviction refunds) into a fresh
   // ledger: spent must match the live ledger bit-exactly.
   AnalystLedger replayed;

@@ -500,7 +500,6 @@ TEST_F(MappedStoreTest, RoundTripPreservesEveryAnswer) {
     }
 
     Rng rng(41);
-    ScanScratch scratch;
     for (int trial = 0; trial < 10; ++trial) {
       const Value lo = rng.UniformInt(0, 80);
       const Value hi = rng.UniformInt(lo, 99);
@@ -512,8 +511,7 @@ TEST_F(MappedStoreTest, RoundTripPreservesEveryAnswer) {
         const size_t c = static_cast<size_t>(
             rng.UniformU64(built->num_clusters()));
         ScanResult resident = built->ScanCluster(c, q);
-        ScanResult decoded = mapped->ScanCluster(c, q, ScanProfile::kAll,
-                                                 &scratch);
+        ScanResult decoded = mapped->ScanCluster(c, q);
         EXPECT_EQ(resident.count, decoded.count);
         EXPECT_EQ(resident.sum, decoded.sum);
         EXPECT_EQ(resident.sum_squares, decoded.sum_squares);
@@ -810,6 +808,17 @@ TEST_F(MappedStoreTest, RejectsCorruptedFiles) {
   std::vector<char> bad_rows = bytes;
   bad_rows[24] ^= 0x01;  // total_rows low byte (offset 8+8+8)
   EXPECT_FALSE(ClusterStore::OpenMapped(write_variant("rows", bad_rows)).ok());
+
+  // A column encoding other than frame-of-reference (1 was the retired
+  // delta coding) in the first cluster's first directory entry.
+  const size_t first_encoding = DirectoryStart(t.schema()) + 4 + 8;
+  ASSERT_EQ(bytes[first_encoding], 0) << "expected a kFor column";
+  std::vector<char> bad_encoding = bytes;
+  bad_encoding[first_encoding] = 1;
+  EXPECT_EQ(ClusterStore::OpenMapped(write_variant("encoding", bad_encoding))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 
   // Flipping a directory byte must never crash: either the open fails
   // validation or the decoded answers change in a bounded way — we only

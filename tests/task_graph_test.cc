@@ -146,106 +146,56 @@ TEST(TaskGraphTest, ShardKeyComponentBreaksTiesDeterministically) {
             "q1/scan/p0/s1");
 }
 
-// Both ready-queue implementations must run the identical graph to the
-// identical final state: every task exactly once, same statuses, same
-// first error — the queues may only change *when* ready work runs, never
-// *what* runs or the key-ordered error report.
-TEST(TaskGraphTest, ShardedAndCentralizedQueuesAgreeOnFinalState) {
-  auto run = [](ReadyQueueKind queue) {
-    ThreadPool pool(4);
-    TaskGraph graph(&pool, queue);
-    std::atomic<uint64_t> runs{0};
+// The single ready heap must run the identical graph to the identical
+// final state at every pool size: every task exactly once, same statuses,
+// same first error — the pool may only change *when* ready work runs,
+// never *what* runs or the key-ordered error report.
+TEST(TaskGraphTest, EveryPoolSizeRunsEachTaskOnceWithKeyOrderedFirstError) {
+  auto run = [](size_t pool_size) {
+    ThreadPool pool(pool_size);
+    TaskGraph graph(&pool);
+    std::vector<std::atomic<int>> runs(16 * 10);
     std::atomic<uint64_t> sum{0};
+    TaskOptions low;
+    low.priority = 2;
     for (size_t q = 0; q < 16; ++q) {
+      std::atomic<int>* slot = &runs[q * 10];
       TaskGraph::TaskId root = graph.Add(TaskKey{q, TaskPhase::kGeneric, 0, 0},
-                                         [&runs] {
-                                           runs.fetch_add(1);
+                                         [slot] {
+                                           slot[0].fetch_add(1);
                                            return Status::OK();
                                          });
       std::vector<TaskGraph::TaskId> children;
       for (uint32_t s = 0; s < 8; ++s) {
         children.push_back(graph.Add(
             TaskKey{q, TaskPhase::kGeneric, 1, s},
-            [&runs, &sum, q, s] {
-              runs.fetch_add(1);
+            [slot, &sum, q, s] {
+              slot[1 + s].fetch_add(1);
               sum.fetch_add(q * 100 + s);
               if (q == 7 && s == 3) return Status::Internal("q7/s3");
+              if (q == 12 && s == 0) return Status::Internal("q12/s0");
               return Status::OK();
             },
-            {root}));
+            {root}, nullptr, s % 2 == 0 ? low : TaskOptions{}));
       }
       graph.Add(TaskKey{q, TaskPhase::kGeneric, 2, 0},
-                [&runs] {
-                  runs.fetch_add(1);
+                [slot] {
+                  slot[9].fetch_add(1);
                   return Status::OK();
                 },
                 children);
     }
     graph.Run();
-    EXPECT_EQ(runs.load(), graph.num_tasks());
-    EXPECT_EQ(graph.FirstError().message(), "q7/s3");
-    EXPECT_EQ(graph.scheduler_stats().sharded,
-              queue == ReadyQueueKind::kSharded);
+    EXPECT_EQ(graph.num_tasks(), runs.size());
+    for (size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "pool " << pool_size << " task " << i;
+    }
+    EXPECT_EQ(graph.FirstError().message(), "q7/s3") << "pool " << pool_size;
     return sum.load();
   };
-  EXPECT_EQ(run(ReadyQueueKind::kCentralized), run(ReadyQueueKind::kSharded));
-}
-
-// The counters must reflect the queue that actually ran: sharded pops
-// land on the shards (modulo steals), priority>=2 nodes sink to the
-// backlog heap, and the centralized queue books everything as urgent
-// pops.
-TEST(TaskGraphTest, SchedulerStatsAccountForEveryPop) {
-  auto build_and_run = [](ReadyQueueKind queue) {
-    ThreadPool pool(4);
-    TaskGraph graph(&pool, queue);
-    TaskOptions low;
-    low.priority = 2;
-    for (size_t q = 0; q < 32; ++q) {
-      TaskGraph::TaskId root = graph.Add(TaskKey{q, TaskPhase::kGeneric, 0, 0},
-                                         [] { return Status::OK(); });
-      graph.Add(TaskKey{q, TaskPhase::kGeneric, 1, 0},
-                [] { return Status::OK(); }, {root});
-      graph.Add(TaskKey{q, TaskPhase::kGeneric, 2, 0},
-                [] { return Status::OK(); }, {root}, nullptr, low);
-    }
-    graph.Run();
-    SchedulerStats stats = graph.scheduler_stats();
-    // Every task was popped from exactly one place.
-    EXPECT_EQ(stats.local_pops + stats.steals + stats.urgent_pops +
-                  stats.backlog_pops,
-              graph.num_tasks());
-    return stats;
-  };
-
-  SchedulerStats central = build_and_run(ReadyQueueKind::kCentralized);
-  EXPECT_FALSE(central.sharded);
-  EXPECT_EQ(central.local_pops, 0u);
-  EXPECT_EQ(central.steals, 0u);
-  EXPECT_EQ(central.backlog_pops, 0u);  // Centralized: one heap for all.
-  EXPECT_EQ(central.urgent_pops, 32u * 3u);
-
-  SchedulerStats sharded = build_and_run(ReadyQueueKind::kSharded);
-  EXPECT_TRUE(sharded.sharded);
-  // The 32 low-priority nodes may only run from the backlog heap.
-  EXPECT_EQ(sharded.backlog_pops, 32u);
-  // The rest came off the shards, locally or by stealing.
-  EXPECT_EQ(sharded.local_pops + sharded.steals + sharded.urgent_pops,
-            32u * 2u);
-}
-
-// A single-worker pool must fall back to the centralized queue even when
-// sharding is requested: with no second worker there is nobody to steal
-// from, and the strict total order is the cheaper drain.
-TEST(TaskGraphTest, ShardedRequestFallsBackToCentralizedOnOneWorker) {
-  ThreadPool pool(1);
-  TaskGraph graph(&pool, ReadyQueueKind::kSharded);
-  for (size_t q = 0; q < 8; ++q) {
-    graph.Add(TaskKey{q, TaskPhase::kGeneric}, [] { return Status::OK(); });
-  }
-  graph.Run();
-  EXPECT_FALSE(graph.scheduler_stats().sharded);
-  EXPECT_EQ(graph.scheduler_stats().urgent_pops, 8u);
+  const uint64_t expected = run(1);
+  EXPECT_EQ(run(4), expected);
+  EXPECT_EQ(run(8), expected);
 }
 
 TEST(TaskGraphTest, ThrowingBodyBecomesStatus) {
@@ -506,6 +456,49 @@ std::vector<DataProvider*> Ptrs(
   std::vector<DataProvider*> out;
   for (auto& p : providers) out.push_back(p.get());
   return out;
+}
+
+// Endpoint affinity: nodes parked behind a busy capacity-1 endpoint run,
+// one after another, on the drainer whose node releases the endpoint,
+// ahead of equally urgent lower-keyed work that the release made ready
+// (which other drainers take). The first call holds the endpoint long
+// enough for the idle drainers to pop and park every other endpoint node.
+TEST(TaskGraphTest, ParkedEndpointNodesRunOnTheReleasingDrainer) {
+  std::unique_ptr<DataProvider> provider = MakeProvider(500, 7);
+  InProcessEndpoint endpoint(provider.get());
+  ThreadPool pool(4);
+  TaskGraph graph(&pool);
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  auto record = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    ran_on.push_back(std::this_thread::get_id());
+    return Status::OK();
+  };
+  const TaskGraph::TaskId first = graph.Add(
+      TaskKey{100, TaskPhase::kSummary, 0},
+      [&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        return record();
+      },
+      {}, &endpoint);
+  for (uint64_t q = 101; q <= 116; ++q) {
+    graph.Add(TaskKey{q, TaskPhase::kSummary, 0}, record, {}, &endpoint);
+  }
+  std::atomic<int> others{0};
+  for (uint64_t q = 0; q < 40; ++q) {
+    graph.Add(TaskKey{q, TaskPhase::kGeneric},
+              [&] {
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                others.fetch_add(1);
+                return Status::OK();
+              },
+              {first});
+  }
+  graph.Run();
+  EXPECT_EQ(others.load(), 40);
+  ASSERT_EQ(ran_on.size(), 17u);
+  for (const std::thread::id& id : ran_on) EXPECT_EQ(id, ran_on.front());
 }
 
 FederationConfig BaseConfig(size_t threads, size_t shards,

@@ -986,13 +986,9 @@ int Run() {
                                                                 : "barrier",
                   static_cast<unsigned long long>(
                       state.client->num_batches()));
-      std::printf(
-          "scheduler: %llu graphs run; %llu steals, %llu local pops, "
-          "%llu urgent pops, %llu backlog pops; parked high-water %.0f\n",
-          counter("scheduler.graphs_run"), counter("scheduler.steals"),
-          counter("scheduler.local_pops"), counter("scheduler.urgent_pops"),
-          counter("scheduler.backlog_pops"),
-          reg.GetGauge("scheduler.parked_peak")->Value());
+      std::printf("scheduler: %llu graphs run; parked high-water %.0f\n",
+                  counter("scheduler.graphs_run"),
+                  reg.GetGauge("scheduler.parked_peak")->Value());
       const unsigned long long doorbells = counter("rpc.doorbell_batches");
       if (doorbells > 0 || !state.remote_endpoints.empty()) {
         std::printf(
