@@ -46,11 +46,6 @@ class Flags {
     return v.empty() ? fallback : std::atol(v.c_str());
   }
 
-  double GetDouble(const std::string& name, double fallback) const {
-    std::string v = GetRaw(name);
-    return v.empty() ? fallback : std::atof(v.c_str());
-  }
-
   std::string GetString(const std::string& name,
                         const std::string& fallback = "") const {
     std::string v = GetRaw(name);

@@ -265,15 +265,8 @@ void RemoteEndpoint::ServeBatchLocked(const std::vector<CallSlot*>& batch) {
           UnwrapReplyLocked(std::move((*subs)[i]), slot->method);
       slot->done.store(true, std::memory_order_release);
     }
-    doorbell_batches_.fetch_add(1, std::memory_order_relaxed);
-    coalesced_calls_.fetch_add(chunk_size, std::memory_order_relaxed);
     DoorbellBatchesCounter().Add();
     CoalescedCallsCounter().Add(chunk_size);
-    uint64_t seen = max_coalesced_batch_.load(std::memory_order_relaxed);
-    while (seen < chunk_size &&
-           !max_coalesced_batch_.compare_exchange_weak(
-               seen, chunk_size, std::memory_order_relaxed)) {
-    }
   }
 }
 
@@ -450,18 +443,6 @@ uint64_t RemoteEndpoint::bytes_sent() const {
 uint64_t RemoteEndpoint::bytes_received() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return retired_bytes_received_ + conn_.bytes_received();
-}
-
-uint64_t RemoteEndpoint::doorbell_batches() const {
-  return doorbell_batches_.load(std::memory_order_relaxed);
-}
-
-uint64_t RemoteEndpoint::coalesced_calls() const {
-  return coalesced_calls_.load(std::memory_order_relaxed);
-}
-
-uint64_t RemoteEndpoint::max_coalesced_batch() const {
-  return max_coalesced_batch_.load(std::memory_order_relaxed);
 }
 
 uint64_t RemoteEndpoint::batch_overhead_bytes() const {

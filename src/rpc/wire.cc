@@ -18,17 +18,6 @@ Result<bool> DecodeBool(ByteReader* r) {
 
 void EncodeBool(bool v, ByteWriter* w) { w->PutU8(v ? 1 : 0); }
 
-/// Validates a decoded element count against the bytes actually present:
-/// a hostile count field may promise billions of elements inside a
-/// kilobyte payload, and reserving for it would allocate before any
-/// bounds check fires.
-Status CheckCount(uint64_t count, size_t min_bytes_each, const ByteReader& r) {
-  if (min_bytes_each != 0 && count > r.remaining() / min_bytes_each) {
-    return Status::OutOfRange("wire: element count exceeds payload");
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 bool IsRequestMethod(uint8_t method) {

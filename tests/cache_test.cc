@@ -328,6 +328,27 @@ std::vector<RangeQuery> CacheWorkload() {
           Dim0(20, 60), Dim1(30, 80),   Dim0(10, 149)};
 }
 
+/// The 30% repeat / 30% overlap mix over 40 queries: 16 fresh adjacent
+/// tiles on dim 0, then 12 exact repeats of them and 12 unions of two
+/// adjacent purchased tiles, each served by full composition.
+constexpr size_t kMixFresh = 16;
+constexpr size_t kMixRepeats = 12;
+constexpr size_t kMixUnions = 12;
+constexpr Value kMixWidth = 12;
+std::vector<RangeQuery> ReuseMixWorkload() {
+  std::vector<RangeQuery> out;
+  for (size_t i = 0; i < kMixFresh; ++i) {
+    const Value lo = static_cast<Value>(i) * kMixWidth;
+    out.push_back(Dim0(lo, lo + kMixWidth - 1));
+  }
+  for (size_t r = 0; r < kMixRepeats; ++r) out.push_back(out[r]);
+  for (size_t u = 0; u < kMixUnions; ++u) {
+    const Value lo = static_cast<Value>(2 * (u % (kMixFresh / 2))) * kMixWidth;
+    out.push_back(Dim0(lo, lo + 2 * kMixWidth - 1));
+  }
+  return out;
+}
+
 struct RunOutcome {
   std::vector<double> estimates;
   std::vector<bool> from_cache;
@@ -336,9 +357,10 @@ struct RunOutcome {
   PrivacyBudget saved{0.0, 0.0};
 };
 
-RunOutcome RunCacheWorkload(bool enable_cache, size_t threads,
-                            BatchScheduler scheduler, bool loopback,
-                            bool same_round) {
+RunOutcome RunCacheWorkload(
+    bool enable_cache, size_t threads, BatchScheduler scheduler, bool loopback,
+    bool same_round,
+    const std::vector<RangeQuery>& workload = CacheWorkload()) {
   auto providers = MakeFederation(2);
   std::vector<std::unique_ptr<RpcProviderServer>> servers;
   FederationClient::Options copts;
@@ -368,7 +390,7 @@ RunOutcome RunCacheWorkload(bool enable_cache, size_t threads,
   FederationClient* client = made->get();
 
   std::vector<QueryTicket> tickets;
-  for (const RangeQuery& q : CacheWorkload()) {
+  for (const RangeQuery& q : workload) {
     QuerySpec spec;
     spec.analyst = "alice";
     spec.query = q;
@@ -430,6 +452,32 @@ TEST(CacheClientTest, HitMissPatternAndZeroBudgetServing) {
               no_cache.spent.epsilon, 1e-12);
   EXPECT_NEAR(cached.spent.delta + cached.saved.delta, no_cache.spent.delta,
               1e-15);
+
+  // The 30% repeat / 30% overlap mix: every reuse is served for free, so
+  // the cache spends at least 40% less epsilon than the cache-less run.
+  const std::vector<RangeQuery> mix_queries = ReuseMixWorkload();
+  RunOutcome mix_base = RunCacheWorkload(false, 1, BatchScheduler::kTaskGraph,
+                                         false, false, mix_queries);
+  RunOutcome mix = RunCacheWorkload(true, 1, BatchScheduler::kTaskGraph, false,
+                                    false, mix_queries);
+  ASSERT_EQ(mix.estimates.size(), mix_queries.size());
+  for (size_t i = 0; i < mix_queries.size(); ++i) {
+    if (i < kMixFresh) {
+      EXPECT_FALSE(mix.from_cache[i]) << "mix query " << i;
+      EXPECT_EQ(mix.estimates[i], mix_base.estimates[i]) << "mix query " << i;
+    } else if (i < kMixFresh + kMixRepeats) {
+      EXPECT_EQ(mix.estimates[i], mix.estimates[i - kMixFresh])
+          << "mix repeat " << i;
+    } else {
+      const size_t a = 2 * ((i - kMixFresh - kMixRepeats) % (kMixFresh / 2));
+      EXPECT_EQ(mix.estimates[i], mix.estimates[a] + mix.estimates[a + 1])
+          << "mix union " << i;
+    }
+  }
+  EXPECT_NEAR(mix.spent.epsilon + mix.saved.epsilon, mix_base.spent.epsilon,
+              1e-9);
+  EXPECT_LE(mix.spent.epsilon, 0.6 * mix_base.spent.epsilon)
+      << "the cache must save >= 40% of epsilon on the reuse mix";
 }
 
 TEST(CacheClientTest, BitIdenticalAcrossPoolsSchedulersRoundsAndLoopback) {

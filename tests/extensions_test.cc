@@ -1,7 +1,6 @@
-// Tests for the extension substrates: Gaussian mechanism, Shamir threshold
-// sharing, stratified sampling and store persistence.
+// Tests for the extension substrates: Shamir threshold sharing, stratified
+// sampling and store persistence.
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -12,8 +11,6 @@
 
 #include "common/math.h"
 #include "common/rng.h"
-#include "dp/gaussian.h"
-#include "dp/laplace.h"
 #include "sampling/stratified.h"
 #include "smc/shamir.h"
 #include "storage/cluster_store.h"
@@ -21,52 +18,6 @@
 
 namespace fedaqp {
 namespace {
-
-// ---------------------------------------------------------------- Gaussian
-
-TEST(GaussianTest, CreateValidatesInputs) {
-  EXPECT_TRUE(GaussianMechanism::Create(0.5, 1e-5, 1.0).ok());
-  EXPECT_FALSE(GaussianMechanism::Create(0.0, 1e-5, 1.0).ok());
-  EXPECT_FALSE(GaussianMechanism::Create(1.5, 1e-5, 1.0).ok());  // eps >= 1
-  EXPECT_FALSE(GaussianMechanism::Create(0.5, 0.0, 1.0).ok());
-  EXPECT_FALSE(GaussianMechanism::Create(0.5, 1e-5, 0.0).ok());
-}
-
-TEST(GaussianTest, SigmaMatchesClassicCalibration) {
-  Result<GaussianMechanism> m = GaussianMechanism::Create(0.5, 1e-5, 2.0);
-  ASSERT_TRUE(m.ok());
-  EXPECT_NEAR(m->sigma(), std::sqrt(2.0 * std::log(1.25 / 1e-5)) * 2.0 / 0.5,
-              1e-12);
-}
-
-TEST(GaussianTest, EmpiricalMomentsMatchSigma) {
-  Result<GaussianMechanism> m = GaussianMechanism::Create(0.9, 1e-4, 1.0);
-  ASSERT_TRUE(m.ok());
-  Rng rng(11);
-  RunningStats st;
-  for (int i = 0; i < 60000; ++i) st.Add(m->AddNoise(100.0, &rng));
-  EXPECT_NEAR(st.mean(), 100.0, 0.1);
-  EXPECT_NEAR(st.stddev(), m->sigma(), m->sigma() * 0.03);
-}
-
-TEST(GaussianTest, LighterTailsThanLaplaceAtMatchedScale) {
-  // At matched standard deviation, Gaussian exceeds 4 sd far less often
-  // than Laplace — the practical argument for it on small answers.
-  Rng rng(13);
-  Result<GaussianMechanism> g = GaussianMechanism::Create(0.5, 1e-4, 1.0);
-  ASSERT_TRUE(g.ok());
-  double sd = g->sigma();
-  double laplace_scale = sd / std::sqrt(2.0);
-  int gauss_tail = 0, laplace_tail = 0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    if (std::abs(g->AddNoise(0.0, &rng)) > 4.0 * sd) ++gauss_tail;
-    if (std::abs(SampleLaplace(laplace_scale, &rng)) > 4.0 * sd) {
-      ++laplace_tail;
-    }
-  }
-  EXPECT_LT(gauss_tail * 10, laplace_tail + 10);
-}
 
 // ------------------------------------------------------------------ Shamir
 

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "federation/provider.h"
+#include "obs/metrics.h"
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
 #include "rpc/transport.h"
@@ -56,7 +57,26 @@ RangeQuery ScanQuery(uint32_t lo, uint32_t hi) {
 /// must carry the load.
 class RpcBatchTest : public ::testing::Test {
  protected:
-  void SetUp() override { StartServer({}); }
+  void SetUp() override {
+    doorbell_base_ = DoorbellBatches().Value();
+    coalesced_base_ = CoalescedCalls().Value();
+    StartServer({});
+  }
+
+  // The registry is the only record of doorbell coalescing; tests read
+  // its deltas since SetUp.
+  static obs::Counter& DoorbellBatches() {
+    return *obs::MetricRegistry::Global().GetCounter("rpc.doorbell_batches");
+  }
+  static obs::Counter& CoalescedCalls() {
+    return *obs::MetricRegistry::Global().GetCounter("rpc.coalesced_calls");
+  }
+  uint64_t doorbell_batches() const {
+    return DoorbellBatches().Value() - doorbell_base_;
+  }
+  uint64_t coalesced_calls() const {
+    return CoalescedCalls().Value() - coalesced_base_;
+  }
 
   void StartServer(RpcServerOptions options) {
     servers_.clear();
@@ -76,6 +96,8 @@ class RpcBatchTest : public ::testing::Test {
 
   std::unique_ptr<DataProvider> provider_;
   std::vector<std::unique_ptr<RpcProviderServer>> servers_;
+  uint64_t doorbell_base_ = 0;
+  uint64_t coalesced_base_ = 0;
 };
 
 // Concurrent calls through one endpoint must coalesce into kBatch
@@ -96,7 +118,7 @@ TEST_F(RpcBatchTest, CoalescedCallsMatchSequentialAnswers) {
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     reference.push_back(reply->value);
   }
-  EXPECT_EQ((*endpoint)->doorbell_batches(), 0u)
+  EXPECT_EQ(doorbell_batches(), 0u)
       << "a sequential caller must never pay for batching";
 
   // The same scans from 8 threads: calls park, coalesce, and must come
@@ -123,11 +145,10 @@ TEST_F(RpcBatchTest, CoalescedCallsMatchSequentialAnswers) {
     ASSERT_EQ(failures.load(), 0);
     EXPECT_EQ(answers, reference);
   }
-  EXPECT_GT((*endpoint)->doorbell_batches(), 0u)
+  EXPECT_GT(doorbell_batches(), 0u)
       << "8 threads x 4 rounds should have coalesced at least once";
-  EXPECT_GE((*endpoint)->max_coalesced_batch(), 2u);
-  EXPECT_GE((*endpoint)->coalesced_calls(),
-            2 * (*endpoint)->doorbell_batches());
+  // Every batch coalesces 2+ calls.
+  EXPECT_GE(coalesced_calls(), 2 * doorbell_batches());
 }
 
 // The byte-accounting invariant under coalescing: real bytes moved ==
@@ -168,7 +189,7 @@ TEST_F(RpcBatchTest, CoalescedBytesEqualChargesPlusCountedOverhead) {
       (*endpoint)->bytes_sent() + (*endpoint)->bytes_received() - base;
   EXPECT_EQ(moved, charged.load() + (*endpoint)->batch_overhead_bytes());
   EXPECT_EQ((*endpoint)->batch_overhead_bytes(),
-            2 * kFrameHeaderBytes * (*endpoint)->doorbell_batches());
+            2 * kFrameHeaderBytes * doorbell_batches());
 }
 
 // A raw-wire kBatch exchange: sub-replies arrive in request order inside

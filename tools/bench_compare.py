@@ -29,8 +29,8 @@ Per bench present in the current directory the gate checks:
     both but different means this PR changed the actual answers or a
     deterministic schedule — a correctness regression the timing deltas
     cannot excuse. Keys that carry timing or rate data (anything with a
-    `seconds`, `qps`, `p50/p99/p999`, or `wall` component, e.g. the
-    per-class latency quantiles BENCH_serving.json emits) are never
+    `seconds`, `qps`, `p50/p99/p999`, or `wall` component, e.g.
+    per-class latency quantiles) are never
     checksum-compared, whatever their spelling — timing is trajectory
     data, not a gate.
 A missing, empty, or malformed previous directory/file is reported and
