@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "common/result.h"
 #include "federation/provider.h"
@@ -99,6 +101,17 @@ struct EstimateReply {
   LocalEstimate estimate;
 };
 
+/// Releases a session that will get no estimate call (EndQuery).
+struct EndQueryRequest {
+  uint64_t query_id = 0;
+};
+
+/// One item of an EstimateBatch: the call that ends one session — its
+/// estimate (Approximate or the ExactAnswer bypass), or an EndQuery when
+/// no estimate will come.
+using EstimateItem =
+    std::variant<ApproximateRequest, ExactAnswerRequest, EndQueryRequest>;
+
 /// Non-private full scan (the Speed-UP baseline); stateless, no session.
 /// Deliberately carries no session nonce: the reply is a pure function of
 /// the provider's store and draws no provider RNG, so the call is
@@ -118,6 +131,12 @@ struct ExactScanReply {
 /// message exchanges. The in-process adapter wraps a DataProvider; the
 /// RPC backend (rpc/remote_endpoint.h) implements the same interface over
 /// a wire.
+///
+/// Batch calls: the orchestrator drives private queries provider-major —
+/// one OpenBatch and one EstimateBatch per provider per group of queries,
+/// not one call per query. Their defaults loop over the per-query
+/// virtuals, so a plain endpoint or a forwarding decorator needs nothing
+/// more; a transport overrides them to make each batch one exchange.
 ///
 /// Session lifecycle: Open (or its unfused form, Cover then
 /// PublishSummary) creates the `query_id` session; the Approximate or
@@ -154,6 +173,12 @@ class ProviderEndpoint {
   /// behind. Transport endpoints override it to make one round trip.
   virtual Result<OpenReply> Open(const OpenRequest& request);
 
+  /// Open for every request, replies aligned with `requests`. Each item
+  /// succeeds or fails on its own. The default calls Open per item and
+  /// turns an exception into that item's Internal status.
+  virtual std::vector<Result<OpenReply>> OpenBatch(
+      const std::vector<OpenRequest>& requests);
+
   /// Protocol steps 5-6. Requires an open session; ends it.
   virtual Result<EstimateReply> Approximate(const ApproximateRequest& request) = 0;
 
@@ -166,6 +191,13 @@ class ProviderEndpoint {
   /// Releases an opened session that will get no estimate call (cancel
   /// and failure paths only). Idempotent.
   virtual void EndQuery(uint64_t query_id) = 0;
+
+  /// Approximate, ExactAnswer or EndQuery per item, replies aligned with
+  /// `items`; an EndQuery item replies OK with an empty estimate. The
+  /// default makes the per-item calls in order and turns an exception
+  /// into that item's Internal status.
+  virtual std::vector<Result<EstimateReply>> EstimateBatch(
+      const std::vector<EstimateItem>& items);
 
   /// Issue half of the scheduler's async issue/complete pair: runs `call`
   /// — a closure performing one or more blocking calls on this endpoint
@@ -181,26 +213,18 @@ class ProviderEndpoint {
   /// signal; dropping it would hang the graph). Relative order across
   /// concurrently issued closures is unspecified — the scheduler's
   /// dependency edges already order each session's calls, and the
-  /// threading contract above makes cross-session interleaving harmless —
-  /// which is what lets a transport endpoint run several issued calls at
-  /// once and coalesce them into one batched wire exchange.
+  /// threading contract above makes cross-session interleaving harmless.
   ///
-  /// Cancellation contract: the scheduler only issues *live* work here.
-  /// A node whose cancellation makes its stage claim — and therefore its
-  /// whole body — a guaranteed no-op bypasses this path entirely (the
-  /// stub runs inline on a graph worker), so cancelled queries never
-  /// queue no-op closures behind live traffic on a transport dispatch
-  /// thread. A cancelled node whose stage a peer already claimed still
-  /// does real work and is issued here normally.
+  /// Cancellation: a stage body whose queries were all cancelled still
+  /// runs here, and makes no call.
   virtual void IssueAsync(std::function<void()> call) { call(); }
 
   /// How many issued calls this endpoint can usefully have in flight at
   /// once — the task-graph scheduler admits at most this many of the
   /// endpoint's nodes concurrently (exec/task_graph.cc's admission gate).
-  /// The default 1 is right for mutex-serialized endpoints: admitting
-  /// more would only park scheduler workers on that mutex. Transport
-  /// endpoints whose dispatch coalesces concurrent requests into batched
-  /// wire exchanges (rpc/remote_endpoint.h) report a larger window.
+  /// The default 1 is right for mutex-serialized endpoints, which is
+  /// every endpoint in this library: admitting more would only park
+  /// scheduler workers on that mutex.
   virtual size_t max_concurrent_calls() const { return 1; }
 
   /// Deployment hint for in-process endpoints: shard provider-side scans

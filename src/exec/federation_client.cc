@@ -80,9 +80,9 @@ struct TicketState {
   TicketStats stats;
   std::vector<ProgressiveRound> rounds;
   /// A composed query's executed-remainder outcome, stashed by its graph
-  /// callback and folded into the final answer post-round.
-  Status rem_status = Status::OK();
-  QueryResponse rem_response;
+  /// callback and folded into the final answer post-round. Allocated
+  /// only for composed queries: every other ticket stays smaller.
+  std::unique_ptr<BatchOutcome> remainder;
 };
 
 }  // namespace internal
@@ -640,8 +640,9 @@ void FederationClient::RunGroup(
           PublishOutcome(*t->cache.purchase, status, response);
         }
         std::lock_guard<std::mutex> lock(t->m);
-        t->rem_status = status;
-        t->rem_response = response;
+        t->remainder = std::make_unique<BatchOutcome>();
+        t->remainder->status = status;
+        t->remainder->response = response;
       };
       post.push_back(t);
     } else {
@@ -807,13 +808,13 @@ bool FederationClient::TryServeCached(TicketState* t) {
 
 void FederationClient::FinishComposed(TicketState* t) {
   const QueryResponse kNoResponse;
-  Status rem_status = Status::OK();
-  QueryResponse rem_response;
+  BatchOutcome rem;
   {
     std::lock_guard<std::mutex> lock(t->m);
-    rem_status = t->rem_status;
-    rem_response = t->rem_response;
+    if (t->remainder != nullptr) rem = *t->remainder;
   }
+  const Status& rem_status = rem.status;
+  const QueryResponse& rem_response = rem.response;
   if (!rem_status.ok()) {
     // Cancellation refunds via the token's frozen stage (the full
     // effective charge covered only the remainder); provider failures

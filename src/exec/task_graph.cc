@@ -269,25 +269,7 @@ void TaskGraph::ProcessItem(const ReadyItem& item) {
 
 bool TaskGraph::AdmitNodeLocked(TaskId id) {
   Node& node = nodes_[id];
-  // A node whose doomed stage claim makes its body a self-skipping stub
-  // (see TaskOptions::claim_stage) runs inline, never occupying the
-  // endpoint gate or a transport dispatch thread behind live traffic.
-  // Once cancelled the stage is frozen, so this test cannot race with a
-  // peer's claim. A node whose token fired while it was parked arrives
-  // holding an inherited gate — hand it straight to the next parked node
-  // instead of dragging it through IssueAsync.
-  const bool bypass = node.options.cancel != nullptr &&
-                      node.options.cancel->cancelled() &&
-                      node.options.cancel->stage() < node.options.claim_stage;
-  if (bypass && node.holds_gate) {
-    node.holds_gate = false;
-    const TaskId promoted = ReleaseEndpointGateLocked(node.endpoint);
-    if (promoted != kNoTask) {
-      PushNodeReadyLocked(promoted);
-      WakeForReadyLocked(1);
-    }
-  }
-  if (!bypass && !node.holds_gate && node.endpoint != nullptr) {
+  if (!node.holds_gate && node.endpoint != nullptr) {
     if (!TryAdmitEndpointNode(id, node.endpoint)) return false;
     node.holds_gate = true;
   }
@@ -383,8 +365,7 @@ void TaskGraph::ExecuteNode(TaskId id, Node* node) {
     // Issue half of the async pair: the endpoint decides where the
     // blocking calls run (inline by default; a dispatch thread for
     // transport-backed endpoints). The complete half is OnNodeDone at the
-    // closure's tail. Only gate-holding nodes dispatch — a cancelled
-    // bypass node runs its (self-skipping) body inline right here.
+    // closure's tail.
     node->endpoint->IssueAsync(std::move(execute));
   } else {
     execute();

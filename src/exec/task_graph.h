@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "exec/cancel.h"
 
 namespace fedaqp {
 
@@ -74,19 +73,6 @@ struct TaskOptions {
   /// other nodes' deadlines (earlier = more urgent), never against the
   /// wall clock. Infinity = none.
   double deadline = std::numeric_limits<double>::infinity();
-  /// Cooperative cancellation. When, at pop time, the token is
-  /// cancelled AND the frozen stage is still below `claim_stage` — so
-  /// the body's own Claim(claim_stage) is guaranteed to fail and the
-  /// body to self-skip — the node skips the per-endpoint admission gate
-  /// and the endpoint's async dispatch queue entirely and runs inline
-  /// on the draining worker: a dead stub never occupies a transport
-  /// dispatch thread behind live traffic. A cancelled node whose stage
-  /// was already granted to a peer does real work and goes through the
-  /// gate normally. The body runs exactly once either way.
-  std::shared_ptr<QueryCancelToken> cancel;
-  /// The stage `cancel`-guarded bodies claim before doing real work;
-  /// the default (kNotStarted — always already granted) never bypasses.
-  QueryStage claim_stage = QueryStage::kNotStarted;
 };
 
 /// Dependency-tracking scheduler over (query, provider, phase, shard) task
@@ -147,7 +133,7 @@ class TaskGraph {
   /// Adds a node that runs `body` once every task in `deps` has finished.
   /// When `endpoint` is non-null the ready node is issued through
   /// `endpoint->IssueAsync` instead of running directly on the draining
-  /// worker. `options` carries the node's urgency and cancellation token.
+  /// worker. `options` carries the node's urgency.
   /// Safe to call from inside running task bodies; `deps` must name
   /// already-added tasks.
   TaskId Add(const TaskKey& key, std::function<Status()> body,
@@ -199,7 +185,7 @@ class TaskGraph {
     size_t unmet_deps = 0;
     bool done = false;
     /// True while this node occupies its endpoint's admission gate (set
-    /// on admission or promotion; cancelled bypass nodes never take it).
+    /// on admission or promotion).
     bool holds_gate = false;
     Status result = Status::OK();
     double seconds = 0.0;
@@ -257,8 +243,8 @@ class TaskGraph {
   /// Runs a popped claim token's children, or admits and executes a
   /// popped node, then any node its completion handed to this thread.
   void ProcessItem(const ReadyItem& item);
-  /// Endpoint gate and cancelled-bypass bookkeeping for a popped node.
-  /// False when the node parked behind its endpoint's in-flight nodes.
+  /// Endpoint gate bookkeeping for a popped node. False when the node
+  /// parked behind its endpoint's in-flight nodes.
   /// Caller holds mutex_.
   bool AdmitNodeLocked(TaskId id);
   /// Runs `node` (resolved under mutex_ by the caller, which no longer
@@ -267,14 +253,11 @@ class TaskGraph {
   void OnNodeDone(TaskId id, const Status& status, double seconds);
   void DrainBatch(ChildBatch* batch);
   /// Per-endpoint admission: at most `endpoint->max_concurrent_calls()`
-  /// nodes per endpoint execute (or sit on its dispatch threads) at a
+  /// nodes per endpoint execute (or sit on its dispatch thread) at a
   /// time — one for mutex-serialized endpoints, where admitting more
-  /// would only park pool workers on that mutex, a small window for
-  /// transport endpoints whose dispatch coalesces concurrent calls into
-  /// batched wire exchanges. Returns false (and parks the node) when the
-  /// endpoint is at capacity; a busy node's completion promotes the most
-  /// urgent parked node. Nodes whose cancel token fired bypass the gate
-  /// entirely (see TaskOptions).
+  /// would only park pool workers on that mutex. Returns false (and
+  /// parks the node) when the endpoint is at capacity; a busy node's
+  /// completion promotes the most urgent parked node.
   bool TryAdmitEndpointNode(TaskId id, ProviderEndpoint* endpoint);
   /// Hands `endpoint`'s admission slot to its most urgent parked node,
   /// returned holding the gate for the caller to run or queue, or shrinks

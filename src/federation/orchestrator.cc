@@ -28,6 +28,8 @@ struct QueryState {
   bool reserved = false;
   uint64_t id = 0;
   uint64_t nonce = 0;
+  /// Index of the provider-major group a private query runs in.
+  size_t group = 0;
   /// Effective per-query budget (config default or the spec's override)
   /// and its split shares — per-state so a planner-assigned epsilon
   /// calibrates this query's noise without touching its batch peers.
@@ -57,8 +59,8 @@ struct QueryState {
   }
 };
 
-/// Batch-wide constants shared by every per-unit protocol step, so the
-/// barrier and task-graph schedulers run the exact same bodies — answers,
+/// Batch-wide constants shared by every protocol step, so the barrier
+/// and task-graph schedulers run the exact same bodies — answers,
 /// statuses, and SimNetwork charges stay bit-identical by construction.
 struct BatchContext {
   const std::vector<std::shared_ptr<ProviderEndpoint>>* endpoints = nullptr;
@@ -69,46 +71,76 @@ struct BatchContext {
   size_t num_endpoints() const { return endpoints->size(); }
 };
 
-/// Steps 1-2 for one (query, endpoint): one Open call — cover
-/// identification + DP summary. Any exception an endpoint lets escape —
-/// e.g. a sharded scan rethrowing a shard failure — is converted to a
-/// per-endpoint Status here, because the body often runs on pool workers
-/// whose tasks must not throw.
-/// Claims the kSummaryPublished composition stage first: once any
-/// endpoint passes this point, eps_O is irrevocably spent, and a
-/// cancellation that lands earlier makes the call never happen.
-void RunPhase1(const BatchContext& ctx, QueryState& st, size_t e) {
-  if (!st.active || st.exact) return;
-  QueryCancelToken* cancel = st.spec->cancel.get();
-  if (cancel != nullptr && !cancel->Claim(QueryStage::kSummaryPublished)) {
-    st.phase1_status[e] =
-        Status::Cancelled("query cancelled before its DP summary");
-    return;
-  }
+/// One provider-major group: at most kQueriesPerProviderBatch private
+/// queries of one priority class, in (deadline, session id) order. Every
+/// provider sees the group as one OpenBatch and one EstimateBatch.
+struct QueryGroup {
+  std::vector<QueryState*> members;
+};
+
+/// Makes one batch call for a stage body. Bodies often run on pool
+/// workers whose tasks must not throw, so an exception — or a reply count
+/// that does not match the request count — fails every item instead.
+template <typename Reply, typename Call>
+std::vector<Result<Reply>> GuardedBatch(size_t num_items, Call call) {
+  Status failure = Status::OK();
   try {
-    OpenRequest req;
-    req.cover = CoverRequest{st.id, st.nonce, st.spec->query};
-    req.eps_allocation = st.eps_o;
-    Result<OpenReply> opened = (*ctx.endpoints)[e]->Open(req);
-    if (!opened.ok()) {
-      st.phase1_status[e] = opened.status();
-      return;
-    }
-    st.covers[e] = opened->cover;
-    st.summaries[e] = opened->summary.summary;
-    st.summaries[e].work += st.covers[e].work;
+    std::vector<Result<Reply>> replies = call();
+    if (replies.size() == num_items) return replies;
+    failure = Status::Internal(
+        "endpoint batch reply count does not match its request count");
   } catch (const std::exception& ex) {
-    st.phase1_status[e] =
-        Status::Internal(std::string("summary phase threw: ") + ex.what());
+    failure = Status::Internal(std::string("endpoint batch threw: ") + ex.what());
   } catch (...) {
-    st.phase1_status[e] = Status::Internal("summary phase threw");
+    failure = Status::Internal("endpoint batch threw");
+  }
+  return std::vector<Result<Reply>>(num_items, Result<Reply>(failure));
+}
+
+/// Steps 1-2 for one (group, endpoint): one OpenBatch — cover
+/// identification + DP summary for every member. Claims each member's
+/// kSummaryPublished composition stage as it builds the request: once
+/// any endpoint passes this point, eps_O is irrevocably spent, and a
+/// member cancelled earlier is left out of the call. No call at all when
+/// no member is left.
+void RunOpenStage(const BatchContext& ctx, const QueryGroup& group, size_t e) {
+  std::vector<OpenRequest> requests;
+  std::vector<QueryState*> owners;
+  requests.reserve(group.members.size());
+  owners.reserve(group.members.size());
+  for (QueryState* st : group.members) {
+    QueryCancelToken* cancel = st->spec->cancel.get();
+    if (cancel != nullptr && !cancel->Claim(QueryStage::kSummaryPublished)) {
+      st->phase1_status[e] =
+          Status::Cancelled("query cancelled before its DP summary");
+      continue;
+    }
+    OpenRequest req;
+    req.cover = CoverRequest{st->id, st->nonce, st->spec->query};
+    req.eps_allocation = st->eps_o;
+    requests.push_back(std::move(req));
+    owners.push_back(st);
+  }
+  if (requests.empty()) return;
+  ProviderEndpoint* endpoint = (*ctx.endpoints)[e].get();
+  std::vector<Result<OpenReply>> replies = GuardedBatch<OpenReply>(
+      requests.size(), [&] { return endpoint->OpenBatch(requests); });
+  for (size_t i = 0; i < owners.size(); ++i) {
+    QueryState& st = *owners[i];
+    if (!replies[i].ok()) {
+      st.phase1_status[e] = replies[i].status();
+      continue;
+    }
+    st.covers[e] = replies[i]->cover;
+    st.summaries[e] = replies[i]->summary.summary;
+    st.summaries[e].work += st.covers[e].work;
   }
 }
 
 /// True when endpoint `e` holds an open session for this query: its Open
 /// ran and succeeded (a failed Open leaves none). Only private queries
-/// that reached phase 1 have phase-1 slots; every such slot starts OK and
-/// is final before any phase-2 body runs.
+/// have phase-1 slots; every such slot starts OK and is final before any
+/// estimate-stage body runs.
 bool HasOpenSession(const QueryState& st, size_t e) {
   return e < st.phase1_status.size() && st.phase1_status[e].ok();
 }
@@ -159,78 +191,103 @@ void RunAllocation(const BatchContext& ctx, QueryState& st) {
   st.network->Round(request_bytes);
 }
 
-/// Steps 4-6 for one (query, endpoint): sample/scan/estimate or the exact
-/// bypass — or, for exact-flavored specs, the sessionless full scan.
-/// Requires this query's allocation to be final (approximate only). The
-/// estimate call ends the endpoint's session; when no estimate will be
-/// asked for — the query failed at another endpoint or the aggregator, or
-/// was cancelled after its summary — this body ends the session with an
-/// explicit EndQuery instead.
-/// Claims the kEstimateReleased composition stage first: past this point
-/// the whole per-query budget is spent and cancellation can refund
-/// nothing.
-void RunPhase2(const BatchContext& ctx, QueryState& st, size_t e) {
-  ProviderEndpoint* endpoint = (*ctx.endpoints)[e].get();
-  if (!st.active) {
-    if (HasOpenSession(st, e)) endpoint->EndQuery(st.id);
-    return;
-  }
-  QueryCancelToken* cancel = st.spec->cancel.get();
-  if (cancel != nullptr && !cancel->Claim(QueryStage::kEstimateReleased)) {
-    st.phase2_status[e] =
-        Status::Cancelled("query cancelled before its estimate");
-    if (HasOpenSession(st, e)) endpoint->EndQuery(st.id);
-    return;
-  }
-  if (st.exact) {
-    try {
-      Result<ExactScanReply> scan =
-          endpoint->ExactFullScan(ExactScanRequest{st.spec->query});
-      if (!scan.ok()) {
-        st.phase2_status[e] = scan.status();
-      } else {
-        st.exact_scans[e] = std::move(scan).value();
-      }
-    } catch (const std::exception& ex) {
-      st.phase2_status[e] =
-          Status::Internal(std::string("exact scan threw: ") + ex.what());
-    } catch (...) {
-      st.phase2_status[e] = Status::Internal("exact scan threw");
+/// Steps 3-5 coordinator side for every member of a group.
+void RunGroupAllocation(const BatchContext& ctx, const QueryGroup& group) {
+  for (QueryState* st : group.members) RunAllocation(ctx, *st);
+}
+
+/// Steps 4-6 for one (group, endpoint): one EstimateBatch carrying each
+/// live member's sample/scan/estimate or exact bypass, which ends the
+/// endpoint's session. Claims each member's kEstimateReleased stage as it
+/// builds the request: past this point the whole per-query budget is
+/// spent and cancellation can refund nothing. A member that failed (at
+/// another endpoint or the aggregator) or was cancelled after its summary
+/// gets an EndQuery item for its open session instead. Requires the
+/// group's allocation to be final; no call at all when no item is left.
+void RunEstimateStage(const BatchContext& ctx, const QueryGroup& group,
+                      size_t e) {
+  std::vector<EstimateItem> items;
+  /// Aligned with `items`; null for EndQuery items.
+  std::vector<QueryState*> owners;
+  items.reserve(group.members.size());
+  owners.reserve(group.members.size());
+  const auto end_session = [&](const QueryState& st) {
+    if (!HasOpenSession(st, e)) return;
+    items.emplace_back(EndQueryRequest{st.id});
+    owners.push_back(nullptr);
+  };
+  for (QueryState* st : group.members) {
+    if (!st->active) {
+      end_session(*st);
+      continue;
     }
-    return;
-  }
-  try {
-    Result<EstimateReply> reply = [&]() -> Result<EstimateReply> {
-      if (!st.covers[e].should_approximate) {
-        ExactAnswerRequest req;
-        req.query_id = st.id;
-        req.eps_estimate = st.eps_e;
-        req.add_noise = ctx.local_noise;
-        return endpoint->ExactAnswer(req);
-      }
+    QueryCancelToken* cancel = st->spec->cancel.get();
+    if (cancel != nullptr && !cancel->Claim(QueryStage::kEstimateReleased)) {
+      st->phase2_status[e] =
+          Status::Cancelled("query cancelled before its estimate");
+      end_session(*st);
+      continue;
+    }
+    if (!st->covers[e].should_approximate) {
+      ExactAnswerRequest req;
+      req.query_id = st->id;
+      req.eps_estimate = st->eps_e;
+      req.add_noise = ctx.local_noise;
+      items.emplace_back(req);
+    } else {
       // Eq. 6 bounds every participating provider's allocation below by
       // 1; noisy ~N^Q can zero out a provider's solver share, in which
       // case the provider still samples minimally rather than falling
       // back to a full covering-set scan.
       ApproximateRequest req;
-      req.query_id = st.id;
-      req.sample_size = std::max<size_t>(st.plan.sample_sizes[e], 1);
-      req.eps_sampling = st.eps_s;
-      req.eps_estimate = st.eps_e;
-      req.delta = st.delta;
+      req.query_id = st->id;
+      req.sample_size = std::max<size_t>(st->plan.sample_sizes[e], 1);
+      req.eps_sampling = st->eps_s;
+      req.eps_estimate = st->eps_e;
+      req.delta = st->delta;
       req.add_noise = ctx.local_noise;
-      return endpoint->Approximate(req);
-    }();
-    if (!reply.ok()) {
-      st.phase2_status[e] = reply.status();
-      return;
+      items.emplace_back(req);
     }
-    st.estimates[e] = std::move(reply).value().estimate;
+    owners.push_back(st);
+  }
+  if (items.empty()) return;
+  ProviderEndpoint* endpoint = (*ctx.endpoints)[e].get();
+  std::vector<Result<EstimateReply>> replies = GuardedBatch<EstimateReply>(
+      items.size(), [&] { return endpoint->EstimateBatch(items); });
+  for (size_t i = 0; i < owners.size(); ++i) {
+    if (owners[i] == nullptr) continue;  // EndQuery is best-effort.
+    QueryState& st = *owners[i];
+    if (!replies[i].ok()) {
+      st.phase2_status[e] = replies[i].status();
+    } else {
+      st.estimates[e] = std::move(replies[i]).value().estimate;
+    }
+  }
+}
+
+/// Exact-spec steps for one (query, endpoint): the sessionless full scan,
+/// one call per node, so ExactFullScan keeps its reconnect-and-retry
+/// path. Claims kEstimateReleased first, like every estimate.
+void RunExactScan(const BatchContext& ctx, QueryState& st, size_t e) {
+  QueryCancelToken* cancel = st.spec->cancel.get();
+  if (cancel != nullptr && !cancel->Claim(QueryStage::kEstimateReleased)) {
+    st.phase2_status[e] =
+        Status::Cancelled("query cancelled before its estimate");
+    return;
+  }
+  try {
+    Result<ExactScanReply> scan =
+        (*ctx.endpoints)[e]->ExactFullScan(ExactScanRequest{st.spec->query});
+    if (!scan.ok()) {
+      st.phase2_status[e] = scan.status();
+    } else {
+      st.exact_scans[e] = std::move(scan).value();
+    }
   } catch (const std::exception& ex) {
     st.phase2_status[e] =
-        Status::Internal(std::string("estimate phase threw: ") + ex.what());
+        Status::Internal(std::string("exact scan threw: ") + ex.what());
   } catch (...) {
-    st.phase2_status[e] = Status::Internal("estimate phase threw");
+    st.phase2_status[e] = Status::Internal("exact scan threw");
   }
 }
 
@@ -321,26 +378,56 @@ void RunCombine(const BatchContext& ctx, QueryState& st) {
   st.response.spent = st.budget;
 }
 
-/// Lock-step reference scheduler: two ParallelFor phase barriers with
-/// coordinator loops between them (the pre-task-graph execution shape).
-/// Exact-flavored specs skip phase 1 and allocation inside the shared
-/// bodies, so both schedulers run one code path per step.
-void RunBatchBarrier(const BatchContext& ctx, ThreadPool* pool,
-                     std::vector<QueryState>& states) {
-  const size_t num_endpoints = ctx.num_endpoints();
-  // Steps 1-2 provider side. Each endpoint runs on its own ParallelFor
-  // index and walks the batch in submission order.
-  ParallelFor(pool, num_endpoints, [&](size_t e) {
-    for (size_t q = 0; q < states.size(); ++q) {
-      RunPhase1(ctx, states[q], e);
+/// Splits the batch's private queries into provider-major groups: by
+/// priority class (most urgent first), each class in (deadline, session
+/// id) order, cut into chunks of at most kQueriesPerProviderBatch.
+/// Records each member's group index.
+std::vector<QueryGroup> GroupPrivateQueries(std::vector<QueryState>& states) {
+  std::vector<QueryState*> order;
+  for (QueryState& st : states) {
+    if (st.active && !st.exact) order.push_back(&st);
+  }
+  std::sort(order.begin(), order.end(),
+            [](const QueryState* a, const QueryState* b) {
+              if (a->spec->priority != b->spec->priority) {
+                return a->spec->priority < b->spec->priority;
+              }
+              if (a->spec->deadline != b->spec->deadline) {
+                return a->spec->deadline < b->spec->deadline;
+              }
+              return a->id < b->id;
+            });
+  std::vector<QueryGroup> groups;
+  for (QueryState* st : order) {
+    if (groups.empty() ||
+        groups.back().members.size() == kQueriesPerProviderBatch ||
+        groups.back().members.front()->spec->priority != st->spec->priority) {
+      groups.emplace_back();
     }
-  });
-  // Step 3 at the aggregator (coordinator, submission order).
-  for (QueryState& st : states) RunAllocation(ctx, st);
-  // Steps 4-6 provider side.
+    st->group = groups.size() - 1;
+    groups.back().members.push_back(st);
+  }
+  return groups;
+}
+
+/// Lock-step reference scheduler: each group's stages behind ParallelFor
+/// barriers, one group at a time, then the exact scans, then every
+/// combine and delivery in submission order. It runs the graph's stage
+/// bodies, so both schedulers share one code path per step.
+void RunBatchBarrier(const BatchContext& ctx, ThreadPool* pool,
+                     std::vector<QueryState>& states,
+                     const std::vector<QueryGroup>& groups) {
+  const size_t num_endpoints = ctx.num_endpoints();
+  for (const QueryGroup& group : groups) {
+    ParallelFor(pool, num_endpoints,
+                [&](size_t e) { RunOpenStage(ctx, group, e); });
+    RunGroupAllocation(ctx, group);
+    ParallelFor(pool, num_endpoints,
+                [&](size_t e) { RunEstimateStage(ctx, group, e); });
+  }
   ParallelFor(pool, num_endpoints, [&](size_t e) {
-    for (size_t q = 0; q < states.size(); ++q) {
-      RunPhase2(ctx, states[q], e);
+    for (QueryState& st : states) {
+      if (st.active && st.exact) RunExactScan(ctx, st, e);
     }
   });
   // Step 7 (coordinator, submission order — the aggregator's own RNG
@@ -354,24 +441,63 @@ void RunBatchBarrier(const BatchContext& ctx, ThreadPool* pool,
   }
 }
 
-/// Barrier-free scheduler: one dependency graph over every (query,
-/// provider, phase) node of the batch, drained by the shared pool. Within
-/// an approximate query: phase1(e) -> allocate -> phase2(e) -> combine ->
-/// deliver, where phase2(e) also ends endpoint e's session; an exact
-/// query is just scan(e) -> combine -> deliver. Across queries, only
-/// SMC-mode combines are chained (the aggregator's single RNG stream);
-/// everything else overlaps freely, in ready-queue urgency order
-/// (per-spec priority, then deadline). Shard
-/// fan-outs inside endpoint calls become child work of their phase node
-/// (see ShardedScanExecutor::ForEachShard).
+/// Barrier-free scheduler: one dependency graph drained by the shared
+/// pool. Each group of private queries is open(e) for every provider ->
+/// allocate -> estimate(e) for every provider, and each member then gets
+/// its own combine -> deliver. An exact query is scan(e) per provider ->
+/// combine -> deliver. A group's open(e) waits for estimate(e) of the
+/// group two places earlier, so a provider holds at most two groups'
+/// sessions at once (the server caps sessions per connection). Across
+/// queries, only SMC-mode combines are chained, in submission order (the
+/// aggregator's single RNG stream); everything else overlaps freely, in
+/// ready-queue urgency order (priority, then deadline). Shard fan-outs
+/// inside endpoint calls become child work of their stage node (see
+/// ShardedScanExecutor::ForEachShard).
 void RunBatchTaskGraph(const BatchContext& ctx, ThreadPool* pool,
                        std::vector<QueryState>& states,
+                       const std::vector<QueryGroup>& groups,
                        BatchRunStats* stats) {
   const size_t num_endpoints = ctx.num_endpoints();
   TaskGraph graph(pool);
+  std::vector<std::vector<TaskGraph::TaskId>> estimate_nodes(groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const QueryGroup& group = groups[g];
+    const QueryState& lead = *group.members.front();
+    TaskOptions opts;
+    opts.priority = lead.spec->priority;
+    opts.deadline = lead.spec->deadline;
+    std::vector<TaskGraph::TaskId> opens(num_endpoints);
+    for (size_t e = 0; e < num_endpoints; ++e) {
+      std::vector<TaskGraph::TaskId> deps;
+      if (g >= 2) deps.push_back(estimate_nodes[g - 2][e]);
+      opens[e] = graph.Add(
+          TaskKey{lead.id, TaskPhase::kSummary, static_cast<uint32_t>(e), 0},
+          [&ctx, &group, e] {
+            RunOpenStage(ctx, group, e);
+            return Status::OK();
+          },
+          deps, (*ctx.endpoints)[e].get(), opts);
+    }
+    TaskGraph::TaskId alloc = graph.Add(
+        TaskKey{lead.id, TaskPhase::kAllocate, TaskKey::kCoordinator, 0},
+        [&ctx, &group] {
+          RunGroupAllocation(ctx, group);
+          return Status::OK();
+        },
+        opens, nullptr, opts);
+    estimate_nodes[g].resize(num_endpoints);
+    for (size_t e = 0; e < num_endpoints; ++e) {
+      estimate_nodes[g][e] = graph.Add(
+          TaskKey{lead.id, TaskPhase::kEstimate, static_cast<uint32_t>(e), 0},
+          [&ctx, &group, e] {
+            RunEstimateStage(ctx, group, e);
+            return Status::OK();
+          },
+          {alloc}, (*ctx.endpoints)[e].get(), opts);
+    }
+  }
   TaskGraph::TaskId prev_combine = TaskGraph::kNoTask;
-  for (size_t q = 0; q < states.size(); ++q) {
-    QueryState& st = states[q];
+  for (QueryState& st : states) {
     if (!st.active) {
       // Refused at admission (or a cache reservation): nothing to
       // schedule, deliver immediately (the barrier path delivers these
@@ -385,53 +511,19 @@ void RunBatchTaskGraph(const BatchContext& ctx, ThreadPool* pool,
     TaskOptions opts;
     opts.priority = spec.priority;
     opts.deadline = spec.deadline;
-    // The cancel token rides ONLY the endpoint-bound phase nodes, whose
-    // bodies are no-ops when the graph's dispatch bypass
-    // (TaskOptions::claim_stage) fires; coordinator nodes keep running
-    // normally. Both phase nodes bypass only below kSummaryPublished: an
-    // estimate node cancelled later still has a session to end, so it
-    // dispatches (its body skips the estimate and sends EndQuery).
-    TaskOptions endpoint_opts = opts;
-    endpoint_opts.cancel = spec.cancel;
-    endpoint_opts.claim_stage = QueryStage::kSummaryPublished;
-    std::vector<TaskGraph::TaskId> combine_deps(num_endpoints);
+    std::vector<TaskGraph::TaskId> combine_deps;
     if (st.exact) {
       for (size_t e = 0; e < num_endpoints; ++e) {
-        combine_deps[e] = graph.Add(
+        combine_deps.push_back(graph.Add(
             TaskKey{st.id, TaskPhase::kEstimate, static_cast<uint32_t>(e), 0},
             [&ctx, &st, e] {
-              RunPhase2(ctx, st, e);
+              RunExactScan(ctx, st, e);
               return st.phase2_status[e];
             },
-            {}, (*ctx.endpoints)[e].get(), endpoint_opts);
+            {}, (*ctx.endpoints)[e].get(), opts));
       }
     } else {
-      std::vector<TaskGraph::TaskId> phase1(num_endpoints);
-      for (size_t e = 0; e < num_endpoints; ++e) {
-        phase1[e] = graph.Add(
-            TaskKey{st.id, TaskPhase::kSummary, static_cast<uint32_t>(e), 0},
-            [&ctx, &st, e] {
-              RunPhase1(ctx, st, e);
-              return st.phase1_status[e];
-            },
-            {}, (*ctx.endpoints)[e].get(), endpoint_opts);
-      }
-      TaskGraph::TaskId alloc = graph.Add(
-          TaskKey{st.id, TaskPhase::kAllocate, TaskKey::kCoordinator, 0},
-          [&ctx, &st] {
-            RunAllocation(ctx, st);
-            return st.status;
-          },
-          phase1, nullptr, opts);
-      for (size_t e = 0; e < num_endpoints; ++e) {
-        combine_deps[e] = graph.Add(
-            TaskKey{st.id, TaskPhase::kEstimate, static_cast<uint32_t>(e), 0},
-            [&ctx, &st, e] {
-              RunPhase2(ctx, st, e);
-              return st.phase2_status[e];
-            },
-            {alloc}, (*ctx.endpoints)[e].get(), endpoint_opts);
-      }
+      combine_deps = estimate_nodes[st.group];
       // Chain combines only when the combine itself draws from the
       // aggregator's RNG (SMC mode): the local-DP combine is a pure sum,
       // so a high-priority query's release never waits behind earlier
@@ -597,13 +689,14 @@ std::vector<BatchOutcome> QueryOrchestrator::ExecuteBatchSpecs(
   // bit-identical.
   Stopwatch batch_timer;
   last_batch_stats_ = BatchRunStats{};
+  const std::vector<QueryGroup> groups = GroupPrivateQueries(states);
   if (config_.scheduler == BatchScheduler::kPhaseBarrier) {
-    RunBatchBarrier(ctx, pool_.get(), states);
+    RunBatchBarrier(ctx, pool_.get(), states, groups);
     last_batch_stats_.wall_seconds = batch_timer.ElapsedSeconds();
     // No task graph to walk: the measured wall IS the critical path.
     last_batch_stats_.critical_path_seconds = last_batch_stats_.wall_seconds;
   } else {
-    RunBatchTaskGraph(ctx, pool_.get(), states, &last_batch_stats_);
+    RunBatchTaskGraph(ctx, pool_.get(), states, groups, &last_batch_stats_);
     last_batch_stats_.wall_seconds = batch_timer.ElapsedSeconds();
   }
 

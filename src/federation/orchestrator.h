@@ -1,6 +1,7 @@
 #ifndef FEDAQP_FEDERATION_ORCHESTRATOR_H_
 #define FEDAQP_FEDERATION_ORCHESTRATOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -32,17 +33,24 @@ enum class ReleaseMode {
 /// How ExecuteBatchSpecs schedules the protocol's provider/coordinator
 /// steps.
 enum class BatchScheduler {
-  /// Dependency-tracked (query, provider, phase, shard) task graph
-  /// (exec/task_graph.h): barrier-free — query q+1's cover tasks run
-  /// while query q's estimates are still in flight on other providers,
-  /// and shard fan-outs share the same scheduler. The default.
+  /// Dependency-tracked task graph (exec/task_graph.h) over provider-major
+  /// stages: barrier-free — one group's Open batches run while an earlier
+  /// group's estimates are still in flight on other providers, and shard
+  /// fan-outs share the same scheduler. The default.
   kTaskGraph = 0,
-  /// Lock-step phases: every query waits at a ParallelFor barrier for
-  /// the slowest provider before the next phase starts. Kept as the
+  /// Lock-step stages: each group waits at a ParallelFor barrier for the
+  /// slowest provider before its next stage starts. Kept as the
   /// reference scheduler that determinism tests and
   /// bench_pipeline_speedup compare the task graph against.
   kPhaseBarrier = 1,
 };
+
+/// The most private queries one provider-major group holds: the items of
+/// one OpenBatch or EstimateBatch. A provider holds at most two groups'
+/// sessions at once, which stays under RpcServerOptions' default
+/// per-connection session cap of 1024. Chosen by measurement on
+/// perfbench's loopback-open burst; answers do not depend on it.
+inline constexpr size_t kQueriesPerProviderBatch = 256;
 
 /// Federation-level execution configuration.
 struct FederationConfig {
@@ -191,11 +199,20 @@ struct QueryExecSpec {
 };
 
 /// Drives the full 7-step online protocol of Fig. 3 over a set of provider
-/// endpoints, charging the simulated network per message. Batch execution
-/// builds a (query, provider, phase, shard) task graph drained by a
-/// fixed-size thread pool when `FederationConfig::num_threads` > 1
-/// (`scheduler` selects the legacy phase-barrier path instead; answers are
-/// identical either way).
+/// endpoints, charging the simulated network per message.
+///
+/// Provider-major rounds: a batch's private queries are grouped by
+/// priority class, then cut into groups of at most
+/// kQueriesPerProviderBatch in (deadline, session id) order. Each group
+/// costs every provider two exchanges — one OpenBatch (steps 1-2) and
+/// one EstimateBatch (steps 4-6) — with one allocation step (3) between
+/// them; each query then gets its own combine (7) and delivery. A batch
+/// is therefore about 2 tasks per query plus 2P+1 per group. Exact
+/// (non-private) specs keep one scan call per (query, provider). The
+/// task graph is drained by a fixed-size thread pool when
+/// `FederationConfig::num_threads` > 1 (`scheduler` selects the
+/// lock-step barrier path instead; answers are identical either way, and
+/// do not depend on how queries were grouped).
 ///
 /// The orchestrator charges no privacy budget: admission — identity,
 /// validation, then the charge against the analyst's LedgerBackend — is
@@ -224,10 +241,10 @@ class QueryOrchestrator {
   QueryOrchestrator(QueryOrchestrator&&) = default;
   QueryOrchestrator& operator=(QueryOrchestrator&&) = delete;
 
-  /// Executes `specs` as one batch, overlapping different queries'
-  /// provider work across the pool (endpoint i can be on query q+1's
-  /// Open while endpoint j still runs query q's estimate — under the
-  /// task-graph scheduler there is no barrier between phases at all).
+  /// Executes `specs` as one batch of provider-major groups, overlapping
+  /// groups across the pool (endpoint i can be on group g+1's Open batch
+  /// while endpoint j still runs group g's estimates — under the
+  /// task-graph scheduler there is no barrier between stages at all).
   /// Charges no budget (the caller admits); each entry carries its own
   /// exact/approximate flavor, scheduling urgency, cancellation token,
   /// and completion callback. Every spec is re-validated against the
@@ -235,7 +252,7 @@ class QueryOrchestrator {
   /// callers). Each provider's estimate call ends its session, so a
   /// successful query needs no cleanup round; a query that fails or is
   /// cancelled after its summary ends its open sessions with EndQuery
-  /// from the same estimate step, under either scheduler.
+  /// items in the same EstimateBatch, under either scheduler.
   /// Outcomes are positionally aligned with `specs`; answers are
   /// bit-identical across schedulers, pool sizes, and batch splits for
   /// the same admission sequence.

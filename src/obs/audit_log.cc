@@ -10,40 +10,64 @@ void BudgetAuditLog::Append(Kind kind, const std::string& analyst,
                             double epsilon, double delta, uint64_t seq,
                             uint32_t coordinator) {
   std::lock_guard<std::mutex> lock(mutex_);
+  auto interned = analyst_ids_.try_emplace(
+      analyst, static_cast<uint32_t>(analysts_.size()));
+  if (interned.second) analysts_.push_back(analyst);
+  Entry e;
+  e.seq = seq;
+  e.epsilon = epsilon;
+  e.delta = delta;
+  e.coordinator = coordinator;
+  e.analyst = interned.first->second;
+  e.kind = kind;
+  entries_.push_back(e);
+}
+
+BudgetAuditLog::Record BudgetAuditLog::RecordAtLocked(size_t index) const {
+  const Entry& e = entries_[index];
   Record r;
-  r.index = records_.size();
-  r.seq = seq;
-  r.coordinator = coordinator;
-  r.kind = kind;
-  r.analyst = analyst;
-  r.epsilon = epsilon;
-  r.delta = delta;
-  records_.push_back(std::move(r));
+  r.index = index;
+  r.seq = e.seq;
+  r.coordinator = e.coordinator;
+  r.kind = e.kind;
+  r.analyst = analysts_[e.analyst];
+  r.epsilon = e.epsilon;
+  r.delta = e.delta;
+  return r;
 }
 
 size_t BudgetAuditLog::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return records_.size();
+  return entries_.size();
 }
 
 std::vector<BudgetAuditLog::Record> BudgetAuditLog::Snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return records_;
+  std::vector<Record> out;
+  out.reserve(entries_.size());
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    out.push_back(RecordAtLocked(i));
+  }
+  return out;
 }
 
 std::vector<BudgetAuditLog::Record> BudgetAuditLog::ForAnalyst(
     const std::string& analyst) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Record> out;
-  for (const Record& r : records_) {
-    if (r.analyst == analyst) out.push_back(r);
+  auto it = analyst_ids_.find(analyst);
+  if (it == analyst_ids_.end()) return out;
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i].analyst == it->second) out.push_back(RecordAtLocked(i));
   }
   return out;
 }
 
 void BudgetAuditLog::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  records_.clear();
+  entries_.clear();
+  analysts_.clear();
+  analyst_ids_.clear();
 }
 
 Status BudgetAuditLog::Replay(AnalystLedger* out) const {

@@ -2,8 +2,10 @@
 #define FEDAQP_OBS_AUDIT_LOG_H_
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -79,8 +81,29 @@ class BudgetAuditLog {
   static const char* KindName(Kind kind);
 
  private:
+  /// One record as stored: the analyst interned and the index implicit
+  /// in the position, 40 bytes where a Record takes 72.
+  struct Entry {
+    uint64_t seq = 0;
+    double epsilon = 0.0;
+    double delta = 0.0;
+    uint32_t coordinator = 0;
+    uint32_t analyst = 0;
+    Kind kind = Kind::kCharge;
+  };
+
+  /// The public form of entry `index`. Caller holds mutex_.
+  Record RecordAtLocked(size_t index) const;
+
   mutable std::mutex mutex_;
-  std::vector<Record> records_;
+  /// The log grows by one entry per charge for the client's lifetime, so
+  /// it is kept compact, and in a deque: a vector's doubling would
+  /// briefly hold the old and the new buffer — twice the log — at every
+  /// growth step.
+  std::deque<Entry> entries_;
+  /// Interned analyst names; Entry::analyst indexes `analysts_`.
+  std::vector<std::string> analysts_;
+  std::unordered_map<std::string, uint32_t> analyst_ids_;
 };
 
 }  // namespace obs

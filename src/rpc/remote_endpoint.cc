@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <thread>
 #include <utility>
+#include <variant>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -23,12 +24,12 @@ obs::Counter& BytesReceivedCounter() {
       obs::MetricRegistry::Global().GetCounter("rpc.client.bytes_received");
   return *c;
 }
-obs::Counter& DoorbellBatchesCounter() {
+obs::Counter& BatchExchangesCounter() {
   static obs::Counter* c =
       obs::MetricRegistry::Global().GetCounter("rpc.doorbell_batches");
   return *c;
 }
-obs::Counter& CoalescedCallsCounter() {
+obs::Counter& BatchedCallsCounter() {
   static obs::Counter* c =
       obs::MetricRegistry::Global().GetCounter("rpc.coalesced_calls");
   return *c;
@@ -162,49 +163,58 @@ Result<RpcFrame> RemoteEndpoint::SingleExchangeLocked(
   return UnwrapReplyLocked(std::move(*reply), method);
 }
 
-void RemoteEndpoint::ServeBatchLocked(const std::vector<CallSlot*>& batch) {
-  // Caller holds mutex_ (is the combiner). Every slot's reply is filled
-  // and its done flag flipped before this returns.
-  size_t idx = 0;
-  const auto fail_from = [&](size_t start, const Status& status) {
-    for (size_t i = start; i < batch.size(); ++i) {
-      batch[i]->reply = status;
-      batch[i]->done.store(true, std::memory_order_release);
-    }
+Result<RpcFrame> RemoteEndpoint::RoundTrip(RpcMethod method,
+                                           const ByteWriter& payload) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return SingleExchangeLocked(method, payload);
+}
+
+std::vector<Result<RpcFrame>> RemoteEndpoint::BatchRoundTrip(
+    const std::vector<Call>& calls) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<Result<RpcFrame>> replies;
+  replies.reserve(calls.size());
+  const auto fail_rest = [&](const Status& status) {
+    while (replies.size() < calls.size()) replies.push_back(status);
   };
-  while (idx < batch.size()) {
+  size_t idx = 0;
+  while (idx < calls.size()) {
     if (broken_) {
-      fail_from(idx, PoisonedStatus());
-      return;
+      fail_rest(PoisonedStatus());
+      break;
     }
-    // Greedy chunk: as many parked requests as fit under the outer
-    // frame's payload cap. Chunks of one (a lone call, or an oversized
-    // neighbor) go out as plain frames — no batch, no overhead.
+    if (idx + 1 == calls.size()) {
+      // A lone call goes out as a plain frame: no batch, no overhead.
+      replies.push_back(
+          SingleExchangeLocked(calls[idx].method, calls[idx].payload));
+      break;
+    }
+    // Greedy chunk: as many requests as fit under the outer frame's
+    // payload cap. A chunk of one (an oversized neighbor) goes out plain.
     ByteWriter outer;
     const size_t chunk_begin = idx;
-    while (idx < batch.size()) {
-      const CallSlot* slot = batch[idx];
-      const size_t framed = kFrameHeaderBytes + slot->payload->size();
+    while (idx < calls.size()) {
+      const Call& call = calls[idx];
+      const size_t framed = kFrameHeaderBytes + call.payload.size();
       if (idx > chunk_begin && outer.size() + framed > kMaxFramePayloadBytes) {
         break;
       }
-      EncodeFrameHeader(slot->method,
-                        static_cast<uint32_t>(slot->payload->size()), &outer);
-      outer.PutRaw(slot->payload->bytes().data(), slot->payload->size());
+      EncodeFrameHeader(call.method,
+                        static_cast<uint32_t>(call.payload.size()), &outer);
+      outer.PutRaw(call.payload.bytes().data(), call.payload.size());
       ++idx;
     }
     const size_t chunk_size = idx - chunk_begin;
     if (chunk_size == 1) {
-      CallSlot* slot = batch[chunk_begin];
-      slot->reply = SingleExchangeLocked(slot->method, *slot->payload);
-      slot->done.store(true, std::memory_order_release);
+      replies.push_back(SingleExchangeLocked(calls[chunk_begin].method,
+                                             calls[chunk_begin].payload));
       continue;
     }
     Status sent = conn_.SendFrame(RpcMethod::kBatch, outer);
     if (!sent.ok()) {
       broken_ = true;
-      fail_from(chunk_begin, sent);
-      return;
+      fail_rest(sent);
+      break;
     }
     // The outer header is the only sent byte the per-message protocol
     // charges do not already cover.
@@ -213,8 +223,8 @@ void RemoteEndpoint::ServeBatchLocked(const std::vector<CallSlot*>& batch) {
     Result<RpcFrame> reply = conn_.ReceiveFrame();
     if (!reply.ok()) {
       broken_ = true;
-      fail_from(chunk_begin, reply.status());
-      return;
+      fail_rest(reply.status());
+      break;
     }
     BytesReceivedCounter().Add(kFrameHeaderBytes + reply->payload.size());
     if (reply->method == RpcMethod::kError) {
@@ -226,72 +236,41 @@ void RemoteEndpoint::ServeBatchLocked(const std::vector<CallSlot*>& batch) {
       if (!DecodeStatusPayload(&reader, &remote).ok() ||
           !ExpectConsumed(reader).ok()) {
         broken_ = true;
-        remote = Status::ProtocolError("rpc: undecodable error reply");
-        fail_from(chunk_begin, remote);
-        return;
+        fail_rest(Status::ProtocolError("rpc: undecodable error reply"));
+        break;
       }
-      for (size_t i = chunk_begin; i < idx; ++i) {
-        batch[i]->reply = remote;
-        batch[i]->done.store(true, std::memory_order_release);
-      }
+      while (replies.size() < idx) replies.push_back(remote);
       continue;
     }
     if (reply->method != RpcMethod::kBatch) {
       broken_ = true;
-      fail_from(chunk_begin, Status::ProtocolError(
-                                 "rpc: batched reply method mismatch"));
-      return;
+      fail_rest(Status::ProtocolError("rpc: batched reply method mismatch"));
+      break;
     }
     batch_overhead_bytes_ += kFrameHeaderBytes;
     Result<std::vector<RpcFrame>> subs =
         DecodeBatchPayload(reply->payload, /*requests_only=*/false);
     if (!subs.ok()) {
       broken_ = true;
-      fail_from(chunk_begin, subs.status());
-      return;
+      fail_rest(subs.status());
+      break;
     }
     if (subs->size() != chunk_size) {
       broken_ = true;
-      fail_from(chunk_begin,
-                Status::ProtocolError(
-                    "rpc: batched reply count does not match request count"));
-      return;
+      fail_rest(Status::ProtocolError(
+          "rpc: batched reply count does not match request count"));
+      break;
     }
     // Sub-replies match request order; unwrap each exactly as a plain
     // reply would be (kError -> carried Status, else method echo check).
     for (size_t i = 0; i < chunk_size; ++i) {
-      CallSlot* slot = batch[chunk_begin + i];
-      slot->reply =
-          UnwrapReplyLocked(std::move((*subs)[i]), slot->method);
-      slot->done.store(true, std::memory_order_release);
+      replies.push_back(UnwrapReplyLocked(std::move((*subs)[i]),
+                                          calls[chunk_begin + i].method));
     }
-    DoorbellBatchesCounter().Add();
-    CoalescedCallsCounter().Add(chunk_size);
+    BatchExchangesCounter().Add();
+    BatchedCallsCounter().Add(chunk_size);
   }
-}
-
-Result<RpcFrame> RemoteEndpoint::RoundTrip(RpcMethod method,
-                                           const ByteWriter& payload) {
-  CallSlot slot(method, &payload);
-  {
-    std::lock_guard<std::mutex> lock(pending_mutex_);
-    pending_.push_back(&slot);
-  }
-  // Ring the doorbell: take the wire. Blocking here is the flat-combining
-  // handoff — while we wait, the current combiner may serve our slot.
-  std::unique_lock<std::mutex> wire(mutex_);
-  if (!slot.done.load(std::memory_order_acquire)) {
-    // Not served: we are the combiner. Drain everything parked (our slot
-    // is necessarily among it — only combiners remove slots, under the
-    // wire lock we now hold).
-    std::vector<CallSlot*> batch;
-    {
-      std::lock_guard<std::mutex> lock(pending_mutex_);
-      batch.swap(pending_);
-    }
-    ServeBatchLocked(batch);
-  }
-  return std::move(slot.reply);
+  return replies;
 }
 
 Status RemoteEndpoint::Reconnect(std::unique_lock<std::mutex>& lock) {
@@ -357,31 +336,70 @@ Result<SummaryReply> RemoteEndpoint::PublishSummary(
 }
 
 Result<OpenReply> RemoteEndpoint::Open(const OpenRequest& request) {
-  obs::ScopedSpan span("rpc", "rpc/open", request.cover.query_id);
-  ByteWriter payload;
-  EncodeOpenRequest(request, &payload);
-  FEDAQP_ASSIGN_OR_RETURN(RpcFrame reply, RoundTrip(RpcMethod::kOpen, payload));
-  return DecodeReply(reply, DecodeOpenReply);
+  return std::move(OpenBatch({request}).front());
+}
+
+std::vector<Result<OpenReply>> RemoteEndpoint::OpenBatch(
+    const std::vector<OpenRequest>& requests) {
+  obs::ScopedSpan span("rpc", "rpc/open_batch");
+  std::vector<Call> calls(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    calls[i].method = RpcMethod::kOpen;
+    EncodeOpenRequest(requests[i], &calls[i].payload);
+  }
+  std::vector<Result<RpcFrame>> frames = BatchRoundTrip(calls);
+  std::vector<Result<OpenReply>> replies;
+  replies.reserve(frames.size());
+  for (const Result<RpcFrame>& frame : frames) {
+    if (!frame.ok()) {
+      replies.push_back(frame.status());
+    } else {
+      replies.push_back(DecodeReply(*frame, DecodeOpenReply));
+    }
+  }
+  return replies;
 }
 
 Result<EstimateReply> RemoteEndpoint::Approximate(
     const ApproximateRequest& request) {
-  obs::ScopedSpan span("rpc", "rpc/approximate", request.query_id);
-  ByteWriter payload;
-  EncodeApproximateRequest(request, &payload);
-  FEDAQP_ASSIGN_OR_RETURN(RpcFrame reply,
-                          RoundTrip(RpcMethod::kApproximate, payload));
-  return DecodeReply(reply, DecodeEstimateReply);
+  return std::move(EstimateBatch({request}).front());
 }
 
 Result<EstimateReply> RemoteEndpoint::ExactAnswer(
     const ExactAnswerRequest& request) {
-  obs::ScopedSpan span("rpc", "rpc/exact_answer", request.query_id);
-  ByteWriter payload;
-  EncodeExactAnswerRequest(request, &payload);
-  FEDAQP_ASSIGN_OR_RETURN(RpcFrame reply,
-                          RoundTrip(RpcMethod::kExactAnswer, payload));
-  return DecodeReply(reply, DecodeEstimateReply);
+  return std::move(EstimateBatch({request}).front());
+}
+
+std::vector<Result<EstimateReply>> RemoteEndpoint::EstimateBatch(
+    const std::vector<EstimateItem>& items) {
+  obs::ScopedSpan span("rpc", "rpc/estimate_batch");
+  std::vector<Call> calls(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (const auto* req = std::get_if<ApproximateRequest>(&items[i])) {
+      calls[i].method = RpcMethod::kApproximate;
+      EncodeApproximateRequest(*req, &calls[i].payload);
+    } else if (const auto* req = std::get_if<ExactAnswerRequest>(&items[i])) {
+      calls[i].method = RpcMethod::kExactAnswer;
+      EncodeExactAnswerRequest(*req, &calls[i].payload);
+    } else {
+      calls[i].method = RpcMethod::kEndQuery;
+      EncodeEndQueryRequest(std::get<EndQueryRequest>(items[i]),
+                            &calls[i].payload);
+    }
+  }
+  std::vector<Result<RpcFrame>> frames = BatchRoundTrip(calls);
+  std::vector<Result<EstimateReply>> replies;
+  replies.reserve(frames.size());
+  for (size_t i = 0; i < frames.size(); ++i) {
+    if (!frames[i].ok()) {
+      replies.push_back(frames[i].status());
+    } else if (calls[i].method == RpcMethod::kEndQuery) {
+      replies.push_back(EstimateReply{});  // The empty ack.
+    } else {
+      replies.push_back(DecodeReply(*frames[i], DecodeEstimateReply));
+    }
+  }
+  return replies;
 }
 
 Result<ExactScanReply> RemoteEndpoint::ExactFullScan(
@@ -389,11 +407,11 @@ Result<ExactScanReply> RemoteEndpoint::ExactFullScan(
   obs::ScopedSpan span("rpc", "rpc/exact_full_scan");
   ByteWriter payload;
   EncodeExactScanRequest(request, &payload);
-  // First attempt rides the doorbell like any other call (and fails fast
-  // on an already-poisoned connection).
-  Result<RpcFrame> first = RoundTrip(RpcMethod::kExactFullScan, payload);
-  if (first.ok()) return DecodeReply(*first, DecodeExactScanReply);
+  // The first attempt fails fast on an already-poisoned connection.
   std::unique_lock<std::mutex> lock(mutex_);
+  Result<RpcFrame> first = SingleExchangeLocked(RpcMethod::kExactFullScan,
+                                                payload);
+  if (first.ok()) return DecodeReply(*first, DecodeExactScanReply);
   // Application-level refusals (invalid query, ...) leave the stream in
   // sync; only transport errors poison, and only those warrant a retry.
   if (!broken_) return first.status();
@@ -402,8 +420,7 @@ Result<ExactScanReply> RemoteEndpoint::ExactFullScan(
   // transport error cannot skew any later query's noise stream. After
   // the retry fails the transport Status surfaces to the caller. The
   // backoff sleep and the dial itself happen with the mutex released
-  // (see Reconnect), so concurrent calls never stall behind them. The
-  // retry is a plain unbatched exchange on the freshly healed wire.
+  // (see Reconnect), so concurrent calls never stall behind them.
   FEDAQP_RETURN_IF_ERROR(Reconnect(lock));
   FEDAQP_ASSIGN_OR_RETURN(RpcFrame reply,
                           SingleExchangeLocked(RpcMethod::kExactFullScan,
@@ -412,21 +429,14 @@ Result<ExactScanReply> RemoteEndpoint::ExactFullScan(
 }
 
 void RemoteEndpoint::EndQuery(uint64_t query_id) {
-  obs::ScopedSpan span("rpc", "rpc/end_query", query_id);
-  ByteWriter payload;
-  EncodeEndQueryRequest(EndQueryRequest{query_id}, &payload);
-  RoundTrip(RpcMethod::kEndQuery, payload).status();  // Best-effort.
+  EstimateBatch({EndQueryRequest{query_id}});  // Best-effort.
 }
 
 void RemoteEndpoint::IssueAsync(std::function<void()> call) {
   std::lock_guard<std::mutex> lock(dispatch_mutex_);
-  // The dispatch pool is as wide as the scheduler's admission window, so
-  // concurrently admitted nodes really do overlap on this connection —
-  // which is what gives the doorbell something to coalesce. Started
-  // lazily so endpoints that never see a task graph pay no threads.
-  if (dispatch_ == nullptr) {
-    dispatch_ = std::make_unique<ThreadPool>(max_concurrent_calls());
-  }
+  // Started lazily so endpoints that never see a task graph pay no
+  // thread.
+  if (dispatch_ == nullptr) dispatch_ = std::make_unique<ThreadPool>(1);
   dispatch_->Submit(std::move(call));
 }
 

@@ -1,7 +1,6 @@
 #ifndef FEDAQP_RPC_REMOTE_ENDPOINT_H_
 #define FEDAQP_RPC_REMOTE_ENDPOINT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -20,25 +19,21 @@ namespace fedaqp {
 /// is available immediately and the orchestrator's shared-S/schema
 /// validation works unchanged over the wire.
 ///
-/// Doorbell batching: calls that arrive while the wire is busy do not
-/// queue up for their own round-trips — each caller parks its encoded
-/// request in a slot list and rings the doorbell (tries to take the wire
-/// mutex). Whoever holds the wire becomes the combiner: it drains every
-/// parked slot, sends all of them as ONE kBatch frame (complete standard
-/// frames concatenated in the payload), reads the single kBatch reply,
-/// and distributes the sub-replies back to the parked callers. A slot
-/// whose combiner already served it returns without ever touching the
-/// socket. A lone call (nothing else parked) goes out as a plain frame,
-/// byte-identical to the unbatched protocol — so batching only spends
-/// header bytes when it actually coalesces, and a strictly sequential
-/// caller's wire traffic is unchanged.
+/// Batch calls: OpenBatch and EstimateBatch send their items as ONE
+/// kBatch exchange — complete standard frames concatenated in the
+/// payload, answered by one kBatch reply carrying the sub-replies in
+/// request order (split into several exchanges only if the requests
+/// outgrow the frame payload cap). A batch of one item goes out as a
+/// plain frame, byte-identical to the per-query call, so a strictly
+/// sequential caller's wire traffic never pays for batching; the
+/// per-query calls are exactly such batches of one.
 ///
-/// Byte accounting under coalescing: the per-message protocol bytes the
-/// coordinator charges to SimNetwork are unchanged (they are a pure
-/// function of each message, so charges stay bit-identical whether or not
-/// batching happened to occur). The only real bytes batching adds is one
-/// outer frame header per batched send and one per batched reply;
-/// batch_overhead_bytes() reports exactly those, so
+/// Byte accounting: the per-message protocol bytes the coordinator
+/// charges to SimNetwork are a pure function of each message, so charges
+/// are the same whether or not a call travelled inside a batch. The only
+/// real bytes batching adds is one outer frame header per batched send
+/// and one per batched reply; batch_overhead_bytes() reports exactly
+/// those, so
 ///   bytes_moved == protocol_charged + batch_overhead_bytes
 /// holds to the byte (pinned by tests/rpc_loopback_test.cc and
 /// tests/rpc_batch_test.cc).
@@ -46,30 +41,24 @@ namespace fedaqp {
 /// After a transport error the connection is poisoned: sessionful calls
 /// fail with FailedPrecondition instead of desynchronizing the frame
 /// stream (replaying Open would re-key a session's noise stream — never
-/// auto-retried). The stateless `ExactFullScan` is the one exception: it
-/// is documented idempotent (no session, no provider RNG), so a poisoned
-/// or mid-call-broken endpoint performs ONE automatic reconnect — with a
-/// bounded backoff that doubles per consecutive reconnect failure — and
-/// retries the scan once; if that also fails, the transport Status is
-/// surfaced to the caller. A successful reconnect heals the endpoint for
-/// sessionful traffic too (fresh sessions only). When a batched exchange
-/// fails in transport, every coalesced call in it reports the failure.
+/// auto-retried). When a batched exchange fails in transport, every item
+/// in it reports the failure. The stateless `ExactFullScan` is the one
+/// exception: it is documented idempotent (no session, no provider RNG),
+/// so a poisoned or mid-call-broken endpoint performs ONE automatic
+/// reconnect — with a bounded backoff that doubles per consecutive
+/// reconnect failure — and retries the scan once; if that also fails,
+/// the transport Status is surfaced to the caller. A successful
+/// reconnect heals the endpoint for sessionful traffic too (fresh
+/// sessions only).
 ///
 /// IssueAsync (the task-graph scheduler's issue/complete pair) runs the
-/// issued closures on a small per-connection dispatch pool, started
+/// issued closures on one per-connection dispatch thread, started
 /// lazily on first use: a scheduler worker only enqueues the call and
 /// moves on, so one slow provider or network path never stalls the
-/// coordinator's task graph. The pool has max_concurrent_calls() workers
-/// — the same number the scheduler's admission gate lets through — so
-/// concurrently issued calls actually overlap and coalesce into batches
-/// instead of trickling one by one. Closures run exactly once and are
-/// drained (never dropped) at destruction; relative order across
-/// concurrent closures is unspecified (see ProviderEndpoint::IssueAsync —
-/// session order comes from the graph's dependency edges). Cancelled
-/// queries never reach this path at all: the scheduler runs their nodes
-/// inline, so a cancellation is never stuck in line behind live
-/// round-trips, and a burst of cancelled work costs this connection
-/// nothing.
+/// coordinator's task graph. One thread is enough: the server handles a
+/// connection's frames one at a time, and a provider-major stage already
+/// puts a whole group's calls into one exchange. Closures run exactly
+/// once and are drained (never dropped) at destruction.
 ///
 /// ConfigureScanSharding keeps the base-class no-op on purpose: the
 /// server owns its workers, a coordinator's pool cannot reach across the
@@ -89,8 +78,14 @@ class RemoteEndpoint : public ProviderEndpoint {
   Result<SummaryReply> PublishSummary(const SummaryRequest& request) override;
   /// One kOpen round trip instead of the default's kCover + kPublishSummary.
   Result<OpenReply> Open(const OpenRequest& request) override;
+  /// One exchange of kOpen sub-frames (see class doc).
+  std::vector<Result<OpenReply>> OpenBatch(
+      const std::vector<OpenRequest>& requests) override;
   Result<EstimateReply> Approximate(const ApproximateRequest& request) override;
   Result<EstimateReply> ExactAnswer(const ExactAnswerRequest& request) override;
+  /// One exchange of kApproximate / kExactAnswer / kEndQuery sub-frames.
+  std::vector<Result<EstimateReply>> EstimateBatch(
+      const std::vector<EstimateItem>& items) override;
   Result<ExactScanReply> ExactFullScan(const ExactScanRequest& request) override;
 
   /// Best-effort over the wire: the interface returns void, so transport
@@ -98,18 +93,12 @@ class RemoteEndpoint : public ProviderEndpoint {
   /// process anyway; an unreachable server has nothing left to release).
   void EndQuery(uint64_t query_id) override;
 
-  /// Parks `call` on this connection's dispatch pool (see class doc).
+  /// Parks `call` on this connection's dispatch thread (see class doc).
   void IssueAsync(std::function<void()> call) override;
 
-  /// The scheduler's per-endpoint admission window and the dispatch
-  /// pool's width: enough in-flight calls to fill a doorbell batch,
-  /// small enough that a slow provider holds few scheduler nodes.
-  size_t max_concurrent_calls() const override { return 4; }
-
-  /// True once the lazily created dispatch pool exists. Diagnostic for
-  /// the cancellation contract: a workload whose every node was cancelled
-  /// before issue must leave this false (the scheduler ran the stubs
-  /// inline instead of spinning up per-connection dispatch).
+  /// True once the lazily created dispatch thread exists. Diagnostic: a
+  /// workload cancelled before admission must leave this false (no graph
+  /// ever issued work to this connection).
   bool dispatch_started() const;
 
   /// Real traffic odometers of this endpoint's lifetime traffic
@@ -119,25 +108,18 @@ class RemoteEndpoint : public ProviderEndpoint {
   uint64_t bytes_sent() const;
   uint64_t bytes_received() const;
 
-  /// The exact wire-byte cost of doorbell batching: one outer frame
-  /// header per batched send plus one per batched reply, the only real
-  /// bytes the per-message protocol charges do not cover. How often the
-  /// doorbell coalesced is counted process-wide, in the registry's
-  /// `rpc.doorbell_batches` (kBatch exchanges of 2+ calls) and
-  /// `rpc.coalesced_calls` (the calls inside them).
+  /// The exact wire-byte cost of batching: one outer frame header per
+  /// kBatch send plus one per kBatch reply, the only real bytes the
+  /// per-message protocol charges do not cover. Batches are counted
+  /// process-wide, in the registry's `rpc.doorbell_batches` (kBatch
+  /// exchanges) and `rpc.coalesced_calls` (the calls inside them).
   uint64_t batch_overhead_bytes() const;
 
  private:
-  /// One parked call: an encoded request waiting for a combiner, and the
-  /// reply slot the combiner fills. `done` flips (release) only after
-  /// `reply` is written; waiters check it with acquire loads.
-  struct CallSlot {
+  /// One encoded request of an exchange.
+  struct Call {
     RpcMethod method = RpcMethod::kError;
-    const ByteWriter* payload = nullptr;
-    Result<RpcFrame> reply;
-    std::atomic<bool> done{false};
-    CallSlot(RpcMethod m, const ByteWriter* p)
-        : method(m), payload(p), reply(Status::Internal("rpc: slot unserved")) {}
+    ByteWriter payload;
   };
 
   RemoteEndpoint(TcpConnection conn, EndpointInfo info, std::string host,
@@ -147,10 +129,8 @@ class RemoteEndpoint : public ProviderEndpoint {
   static Result<std::pair<TcpConnection, EndpointInfo>> Handshake(
       const std::string& host, uint16_t port);
 
-  /// One logical request/reply exchange through the doorbell engine:
-  /// parks a slot, acquires the wire, and either finds the slot already
-  /// served by another combiner or combines everything parked (itself
-  /// included) into one exchange. Returns the slot's unwrapped reply.
+  /// One plain request/reply exchange under the wire lock; returns the
+  /// unwrapped reply.
   Result<RpcFrame> RoundTrip(RpcMethod method, const ByteWriter& payload);
 
   /// Sends/receives exactly one plain frame on the wire and unwraps the
@@ -158,10 +138,9 @@ class RemoteEndpoint : public ProviderEndpoint {
   Result<RpcFrame> SingleExchangeLocked(RpcMethod method,
                                         const ByteWriter& payload);
 
-  /// Serves a combiner's drained slot list: one plain exchange for a
-  /// single slot, one kBatch exchange for several. Fills every slot's
-  /// reply and flips its done flag. Caller holds mutex_.
-  void ServeBatchLocked(const std::vector<CallSlot*>& batch);
+  /// Sends `calls` as kBatch exchanges (a lone call as a plain frame)
+  /// under the wire lock; one unwrapped reply per call, in order.
+  std::vector<Result<RpcFrame>> BatchRoundTrip(const std::vector<Call>& calls);
 
   /// Validates and unwraps one reply frame against the request method it
   /// must echo. Transport-level trust violations set broken_.
@@ -177,7 +156,6 @@ class RemoteEndpoint : public ProviderEndpoint {
   Status Reconnect(std::unique_lock<std::mutex>& lock);
 
   /// Guards the wire (conn_, broken_, reconnect bookkeeping, odometers).
-  /// Holding it makes a thread THE combiner.
   mutable std::mutex mutex_;
   TcpConnection conn_;
   bool broken_ = false;
@@ -191,17 +169,11 @@ class RemoteEndpoint : public ProviderEndpoint {
   uint64_t retired_bytes_sent_ = 0;
   uint64_t retired_bytes_received_ = 0;
 
-  /// Slots parked since the last combiner drain (the doorbell's mailbox).
-  /// Its own tiny lock: parking must never wait behind an in-flight
-  /// round-trip.
-  std::mutex pending_mutex_;
-  std::vector<CallSlot*> pending_;
-
   /// Written under mutex_ together with the odometer-bearing exchange,
   /// so odometers and overhead snapshot consistently between queries.
   uint64_t batch_overhead_bytes_ = 0;
 
-  /// Lazily started dispatch pool backing IssueAsync (guarded by
+  /// Lazily started dispatch thread backing IssueAsync (guarded by
   /// dispatch_mutex_, not mutex_: enqueueing must never wait behind an
   /// in-flight round-trip). ThreadPool's destructor drains outstanding
   /// tasks before joining, which is exactly the never-drop-a-completion

@@ -387,37 +387,36 @@ void RpcProviderServer::ParseFrames(const std::shared_ptr<EventConnection>& c) {
 }
 
 void RpcProviderServer::ProcessInbox(std::shared_ptr<EventConnection> c) {
-  for (;;) {
-    RpcFrame frame;
-    {
-      std::lock_guard<std::mutex> lock(c->m);
-      if (c->inbox.empty()) {
-        // Empty-check and flag-clear are one atomic step: a reader that
-        // queues a frame either sees processing==true (we will loop) or
-        // observes the cleared flag and dispatches a fresh worker.
-        c->processing = false;
-        break;
-      }
-      frame = std::move(c->inbox.front());
-      c->inbox.pop_front();
-    }
+  std::unique_lock<std::mutex> lock(c->m);
+  while (!c->inbox.empty()) {
+    RpcFrame frame = std::move(c->inbox.front());
+    c->inbox.pop_front();
+    lock.unlock();
     ByteWriter out;
     const bool keep = HandleFrame(frame, c->id, &c->live_sessions, &out);
-    {
-      std::lock_guard<std::mutex> lock(c->m);
-      if (out.size() > 0) {
-        c->outbuf.insert(c->outbuf.end(), out.bytes().begin(),
-                         out.bytes().end());
-      }
-      if (!keep) {
-        c->closing = true;
-        c->inbox.clear();  // The stream is confused; drop queued frames.
-      }
+    lock.lock();
+    if (out.size() > 0) {
+      c->outbuf.insert(c->outbuf.end(), out.bytes().begin(), out.bytes().end());
     }
-    NotifyDirty(c->id);
+    if (!keep) {
+      c->closing = true;
+      c->inbox.clear();  // The stream is confused; drop queued frames.
+    }
+    if (!c->inbox.empty()) {
+      // More frames queued behind this one: let the loop flush this
+      // reply now instead of after the whole backlog.
+      lock.unlock();
+      NotifyDirty(c->id);
+      lock.lock();
+    }
   }
-  // Final ring after processing flipped off, so the loop re-evaluates
-  // the teardown condition even if no frame produced output.
+  // The empty-check and the flag-clear share the critical section of the
+  // last reply's append: a reader that queues a frame either sees
+  // processing==true (we looped) or the cleared flag (it dispatches a
+  // fresh worker). One ring then flushes the reply AND lets the loop
+  // re-evaluate teardown, so a lone request costs one eventfd write.
+  c->processing = false;
+  lock.unlock();
   NotifyDirty(c->id);
 }
 

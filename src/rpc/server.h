@@ -58,10 +58,10 @@ struct RpcServerOptions {
 /// the connection's output buffer and rings the eventfd; only the loop
 /// thread flushes output buffers to sockets, arming EPOLLOUT while a
 /// peer's receive window is full. A slow or stalled reader therefore
-/// never blocks a worker or any other connection. kBatch frames
-/// (doorbell-coalesced clients) are unpacked, dispatched sub-frame by
-/// sub-frame in order, and answered with a single kBatch reply carrying
-/// the sub-replies in request order.
+/// never blocks a worker or any other connection. kBatch frames (a
+/// RemoteEndpoint's OpenBatch / EstimateBatch) are unpacked, dispatched
+/// sub-frame by sub-frame in order, and answered with a single kBatch
+/// reply carrying the sub-replies in request order.
 ///
 /// Session lifecycle: kOpen (or kCover) opens a session and the kApproximate
 /// or kExactAnswer request that follows ends it, so a query's two round
@@ -135,7 +135,9 @@ class RpcProviderServer {
   /// flush. Releases its sessions.
   void MaybeDestroy(uint64_t conn_id);
   /// Worker-side: drains the connection's inbox one frame at a time,
-  /// appending replies to its output buffer and ringing the doorbell.
+  /// appending replies to its output buffer. Rings the doorbell between
+  /// frames only while more are queued, and once at the end, after
+  /// clearing `processing` with the last reply's append.
   void ProcessInbox(std::shared_ptr<EventConnection> c);
   /// Marks the connection dirty and wakes the event loop (worker side).
   void NotifyDirty(uint64_t conn_id);

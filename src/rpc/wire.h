@@ -42,8 +42,9 @@ enum class RpcMethod : uint8_t {
   kExactAnswer = 5,
   kExactFullScan = 6,
   kEndQuery = 7,
-  /// Doorbell batch: the payload is a concatenation of complete standard
-  /// frames (header + payload each), one per coalesced request. The reply
+  /// Batch: the payload is a concatenation of complete standard frames
+  /// (header + payload each), one per request — how RemoteEndpoint sends
+  /// an OpenBatch or EstimateBatch as one exchange. The reply
   /// is a kBatch frame whose payload concatenates the reply frames in
   /// request order (each either the echoed method or kError). Nesting is
   /// rejected — a sub-frame may carry any request method except kBatch.
@@ -104,7 +105,7 @@ std::vector<uint8_t> EncodeFrame(RpcMethod method, const ByteWriter& payload);
 /// sub-header (magic, version, method, size) against the bytes actually
 /// present; rejects nested kBatch frames, kError sub-requests when
 /// `requests_only`, and trailing garbage. An empty batch is
-/// InvalidArgument — a doorbell with nothing behind it is a peer bug.
+/// InvalidArgument — a batch with nothing in it is a peer bug.
 Result<std::vector<RpcFrame>> DecodeBatchPayload(
     const std::vector<uint8_t>& payload, bool requests_only);
 
@@ -161,13 +162,9 @@ Result<ExactScanRequest> DecodeExactScanRequest(ByteReader* r);
 void EncodeExactScanReply(const ExactScanReply& v, ByteWriter* w);
 Result<ExactScanReply> DecodeExactScanReply(ByteReader* r);
 
-/// Session-release request (ProviderEndpoint::EndQuery takes a bare id;
-/// the wire needs a struct). The reply is an empty-payload kEndQuery ack.
-/// Only cancel and failure paths send it: an estimate call ends its
-/// session implicitly.
-struct EndQueryRequest {
-  uint64_t query_id = 0;
-};
+/// Session release (EndQueryRequest, exec/endpoint.h). The reply is an
+/// empty-payload kEndQuery ack. Only cancel and failure paths send it:
+/// an estimate call ends its session implicitly.
 void EncodeEndQueryRequest(const EndQueryRequest& v, ByteWriter* w);
 Result<EndQueryRequest> DecodeEndQueryRequest(ByteReader* r);
 

@@ -464,9 +464,8 @@ TEST(FederationClientCancelTest, MidQueryCancelRefundsUnexercisedShares) {
 }
 
 // A workload cancelled before execution never reaches the remote
-// endpoints' async issue path: the scheduler runs the self-skipping
-// stubs inline, so no per-connection dispatch thread is ever started
-// (and no no-op closures queue behind live traffic).
+// endpoints' async issue path: admission refuses it before any graph is
+// built, so no per-connection dispatch thread is ever started.
 TEST(FederationClientCancelTest, CancelledQueriesBypassRemoteDispatch) {
   auto providers = MakeFederation(2);
   std::vector<std::unique_ptr<RpcProviderServer>> servers;

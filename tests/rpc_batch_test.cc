@@ -1,19 +1,22 @@
-// Doorbell batching and event-loop server tests: coalesced calls must be
-// invisible except in the byte odometers — answers bit-identical to the
-// unbatched protocol, real wire bytes equal to SimNetwork's charges plus
-// exactly the counted outer-header overhead — and one epoll server must
-// multiplex many concurrent connections, slow readers included, on a
-// handful of workers.
+// Batch calls and event-loop server tests: OpenBatch and EstimateBatch
+// over one connection must be invisible except in the byte odometers —
+// answers bit-identical to the per-query calls, real wire bytes equal to
+// SimNetwork's charges plus exactly the counted outer-header overhead —
+// a transport failure must fail every item without a retry, and one
+// epoll server must multiplex many concurrent connections, slow readers
+// included, on a handful of workers.
 
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "exec/in_process_endpoint.h"
 #include "federation/provider.h"
 #include "obs/metrics.h"
 #include "rpc/remote_endpoint.h"
@@ -52,30 +55,67 @@ RangeQuery ScanQuery(uint32_t lo, uint32_t hi) {
   return RangeQueryBuilder(Aggregation::kCount).Where(0, lo, hi).Build();
 }
 
+/// `n` Open requests for sessions 1..n over distinct ranges.
+std::vector<OpenRequest> OpenRequests(size_t n) {
+  std::vector<OpenRequest> requests(n);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t lo = static_cast<uint32_t>(i);
+    requests[i].cover = CoverRequest{i + 1, 1000 + i, ScanQuery(lo, 100 + lo)};
+    requests[i].eps_allocation = 0.3;
+  }
+  return requests;
+}
+
+/// The estimate item that ends session `query_id`: the ExactAnswer
+/// bypass for every third session (any open session accepts it), else
+/// Approximate.
+EstimateItem EstimateFor(uint64_t query_id) {
+  if (query_id % 3 == 0) {
+    ExactAnswerRequest req;
+    req.query_id = query_id;
+    req.eps_estimate = 0.5;
+    return req;
+  }
+  ApproximateRequest req;
+  req.query_id = query_id;
+  req.sample_size = 3;
+  req.eps_sampling = 0.2;
+  req.eps_estimate = 0.5;
+  req.delta = 1e-3;
+  return req;
+}
+
+size_t WireSize(const EstimateItem& item) {
+  if (const auto* req = std::get_if<ApproximateRequest>(&item)) {
+    return fedaqp::WireSize(*req);
+  }
+  return fedaqp::WireSize(std::get<ExactAnswerRequest>(item));
+}
+
 /// One provider behind one server; tests connect as many clients as they
 /// need. Few workers on purpose: multiplexing, not worker-per-connection,
 /// must carry the load.
 class RpcBatchTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    doorbell_base_ = DoorbellBatches().Value();
-    coalesced_base_ = CoalescedCalls().Value();
+    batch_base_ = BatchExchanges().Value();
+    batched_base_ = BatchedCalls().Value();
     StartServer({});
   }
 
-  // The registry is the only record of doorbell coalescing; tests read
-  // its deltas since SetUp.
-  static obs::Counter& DoorbellBatches() {
+  // The registry is the only record of kBatch exchanges; tests read its
+  // deltas since SetUp.
+  static obs::Counter& BatchExchanges() {
     return *obs::MetricRegistry::Global().GetCounter("rpc.doorbell_batches");
   }
-  static obs::Counter& CoalescedCalls() {
+  static obs::Counter& BatchedCalls() {
     return *obs::MetricRegistry::Global().GetCounter("rpc.coalesced_calls");
   }
-  uint64_t doorbell_batches() const {
-    return DoorbellBatches().Value() - doorbell_base_;
+  uint64_t batch_exchanges() const {
+    return BatchExchanges().Value() - batch_base_;
   }
-  uint64_t coalesced_calls() const {
-    return CoalescedCalls().Value() - coalesced_base_;
+  uint64_t batched_calls() const {
+    return BatchedCalls().Value() - batched_base_;
   }
 
   void StartServer(RpcServerOptions options) {
@@ -96,100 +136,121 @@ class RpcBatchTest : public ::testing::Test {
 
   std::unique_ptr<DataProvider> provider_;
   std::vector<std::unique_ptr<RpcProviderServer>> servers_;
-  uint64_t doorbell_base_ = 0;
-  uint64_t coalesced_base_ = 0;
+  uint64_t batch_base_ = 0;
+  uint64_t batched_base_ = 0;
 };
 
-// Concurrent calls through one endpoint must coalesce into kBatch
-// exchanges, and every coalesced answer must be bit-identical to the
-// same call made sequentially (ExactFullScan is a pure function of the
-// store, so the comparison is exact).
-TEST_F(RpcBatchTest, CoalescedCallsMatchSequentialAnswers) {
+// A batch call is one kBatch exchange, and every answer in it must be
+// bit-identical to the same session driven by per-query calls (session
+// noise is keyed by (provider seed, session nonce), so the comparison is
+// exact). Sequential per-query calls must never pay for batching.
+TEST_F(RpcBatchTest, BatchCallsMatchSequentialAnswers) {
   Result<std::shared_ptr<RemoteEndpoint>> endpoint = Connect();
   ASSERT_TRUE(endpoint.ok()) << endpoint.status().ToString();
+  constexpr size_t kQueries = 24;
+  const std::vector<OpenRequest> requests = OpenRequests(kQueries);
 
-  // Sequential reference, unbatched by construction (one caller).
-  std::vector<RangeQuery> queries;
-  std::vector<double> reference;
-  for (uint32_t i = 0; i < 24; ++i) {
-    queries.push_back(ScanQuery(i, 100 + i));
-    Result<ExactScanReply> reply =
-        (*endpoint)->ExactFullScan(ExactScanRequest{queries.back()});
-    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    reference.push_back(reply->value);
+  // Sequential reference, one plain exchange per call.
+  std::vector<OpenReply> ref_opened;
+  std::vector<EstimateItem> items;
+  std::vector<LocalEstimate> ref_estimates;
+  for (const OpenRequest& request : requests) {
+    Result<OpenReply> opened = (*endpoint)->Open(request);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ref_opened.push_back(*opened);
+    items.push_back(EstimateFor(request.cover.query_id));
+    const EstimateItem& item = items.back();
+    Result<EstimateReply> one =
+        std::holds_alternative<ApproximateRequest>(item)
+            ? (*endpoint)->Approximate(std::get<ApproximateRequest>(item))
+            : (*endpoint)->ExactAnswer(std::get<ExactAnswerRequest>(item));
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    ref_estimates.push_back(one->estimate);
   }
-  EXPECT_EQ(doorbell_batches(), 0u)
+  EXPECT_EQ(batch_exchanges(), 0u)
       << "a sequential caller must never pay for batching";
+  EXPECT_EQ(servers_[0]->frames_received(RpcMethod::kBatch), 0u);
 
-  // The same scans from 8 threads: calls park, coalesce, and must come
-  // back identical. Repeat a few rounds to make coalescing overwhelmingly
-  // likely on any scheduler.
-  std::vector<double> answers(queries.size());
-  std::atomic<int> failures{0};
-  for (int round = 0; round < 4; ++round) {
-    std::vector<std::thread> threads;
-    for (size_t t = 0; t < 8; ++t) {
-      threads.emplace_back([&, t] {
-        for (size_t i = t; i < queries.size(); i += 8) {
-          Result<ExactScanReply> reply =
-              (*endpoint)->ExactFullScan(ExactScanRequest{queries[i]});
-          if (!reply.ok()) {
-            failures.fetch_add(1);
-            return;
-          }
-          answers[i] = reply->value;
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    ASSERT_EQ(failures.load(), 0);
-    EXPECT_EQ(answers, reference);
+  // The same sessions (ids and nonces) as two batch calls, plus an
+  // EndQuery item for one extra session that gets no estimate.
+  std::vector<OpenRequest> batch = requests;
+  batch.push_back(OpenRequests(kQueries + 1).back());
+  std::vector<Result<OpenReply>> opened = (*endpoint)->OpenBatch(batch);
+  ASSERT_EQ(opened.size(), batch.size());
+  for (size_t i = 0; i < kQueries; ++i) {
+    ASSERT_TRUE(opened[i].ok()) << opened[i].status().ToString();
+    EXPECT_EQ(opened[i]->cover.num_covering_clusters,
+              ref_opened[i].cover.num_covering_clusters);
+    EXPECT_EQ(opened[i]->summary.summary.noisy_avg_r,
+              ref_opened[i].summary.summary.noisy_avg_r);
+    EXPECT_EQ(opened[i]->summary.summary.noisy_n_q,
+              ref_opened[i].summary.summary.noisy_n_q);
   }
-  EXPECT_GT(doorbell_batches(), 0u)
-      << "8 threads x 4 rounds should have coalesced at least once";
-  // Every batch coalesces 2+ calls.
-  EXPECT_GE(coalesced_calls(), 2 * doorbell_batches());
+  ASSERT_TRUE(opened.back().ok());
+  EXPECT_EQ(servers_[0]->num_open_sessions(), kQueries + 1);
+  items.push_back(EndQueryRequest{kQueries + 1});
+  std::vector<Result<EstimateReply>> estimates =
+      (*endpoint)->EstimateBatch(items);
+  ASSERT_EQ(estimates.size(), items.size());
+  for (size_t i = 0; i < kQueries; ++i) {
+    ASSERT_TRUE(estimates[i].ok()) << estimates[i].status().ToString();
+    EXPECT_EQ(estimates[i]->estimate.estimate, ref_estimates[i].estimate);
+    EXPECT_EQ(estimates[i]->estimate.variance, ref_estimates[i].variance);
+    EXPECT_EQ(estimates[i]->estimate.exact, ref_estimates[i].exact);
+  }
+  EXPECT_TRUE(estimates.back().ok());
+  EXPECT_EQ(servers_[0]->num_open_sessions(), 0u);
+
+  // One kBatch exchange per call, carrying every item.
+  EXPECT_EQ(batch_exchanges(), 2u);
+  EXPECT_EQ(batched_calls(), 2 * (kQueries + 1));
+  EXPECT_EQ(servers_[0]->frames_received(RpcMethod::kBatch), 2u);
+  EXPECT_EQ(servers_[0]->frames_received(RpcMethod::kEndQuery), 1u);
+  // Every third session took the ExactAnswer bypass, in both passes.
+  EXPECT_EQ(servers_[0]->frames_received(RpcMethod::kExactAnswer),
+            2 * (kQueries / 3));
+
+  // A batch of one is a plain frame, byte-identical to the single call.
+  std::vector<Result<OpenReply>> lone = (*endpoint)->OpenBatch({requests[0]});
+  ASSERT_TRUE(lone[0].ok());
+  EXPECT_EQ(lone[0]->summary.summary.noisy_n_q,
+            ref_opened[0].summary.summary.noisy_n_q);
+  (*endpoint)->EndQuery(requests[0].cover.query_id);
+  EXPECT_EQ(batch_exchanges(), 2u);
 }
 
-// The byte-accounting invariant under coalescing: real bytes moved ==
+// The byte-accounting invariant under batching: real bytes moved ==
 // per-message protocol charges (what SimNetwork bills, unchanged by
 // batching) + exactly one outer frame header per batched send and per
 // batched reply (what batch_overhead_bytes counts).
-TEST_F(RpcBatchTest, CoalescedBytesEqualChargesPlusCountedOverhead) {
+TEST_F(RpcBatchTest, BatchBytesEqualChargesPlusCountedOverhead) {
   Result<std::shared_ptr<RemoteEndpoint>> endpoint = Connect();
   ASSERT_TRUE(endpoint.ok());
 
   const uint64_t base =
       (*endpoint)->bytes_sent() + (*endpoint)->bytes_received();
-  std::vector<RangeQuery> queries;
-  for (uint32_t i = 0; i < 16; ++i) queries.push_back(ScanQuery(i, 120));
-
-  // What the per-message protocol charges: request + reply wire size of
-  // every call, batched or not.
-  std::atomic<uint64_t> charged{0};
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      for (size_t i = t; i < queries.size(); i += 8) {
-        ExactScanRequest request{queries[i]};
-        Result<ExactScanReply> reply = (*endpoint)->ExactFullScan(request);
-        if (!reply.ok()) {
-          failures.fetch_add(1);
-          return;
-        }
-        charged.fetch_add(WireSize(request) + WireSize(*reply));
-      }
-    });
+  const std::vector<OpenRequest> requests = OpenRequests(16);
+  uint64_t charged = 0;
+  std::vector<Result<OpenReply>> opened = (*endpoint)->OpenBatch(requests);
+  std::vector<EstimateItem> items;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(opened[i].ok()) << opened[i].status().ToString();
+    charged += WireSize(requests[i]) + WireSize(*opened[i]);
+    items.push_back(EstimateFor(requests[i].cover.query_id));
   }
-  for (std::thread& t : threads) t.join();
-  ASSERT_EQ(failures.load(), 0);
+  std::vector<Result<EstimateReply>> estimates =
+      (*endpoint)->EstimateBatch(items);
+  for (size_t i = 0; i < items.size(); ++i) {
+    ASSERT_TRUE(estimates[i].ok()) << estimates[i].status().ToString();
+    charged += WireSize(items[i]) + WireSize(*estimates[i]);
+  }
 
   const uint64_t moved =
       (*endpoint)->bytes_sent() + (*endpoint)->bytes_received() - base;
-  EXPECT_EQ(moved, charged.load() + (*endpoint)->batch_overhead_bytes());
+  EXPECT_EQ(batch_exchanges(), 2u);
   EXPECT_EQ((*endpoint)->batch_overhead_bytes(),
-            2 * kFrameHeaderBytes * doorbell_batches());
+            2 * kFrameHeaderBytes * batch_exchanges());
+  EXPECT_EQ(moved, charged + (*endpoint)->batch_overhead_bytes());
 }
 
 // A raw-wire kBatch exchange: sub-replies arrive in request order inside
@@ -350,58 +411,59 @@ TEST_F(RpcBatchTest, SlowPeerPartialWritesDoNotBlockOthers) {
   }
 }
 
-// Fault-injected pin for mid-batch transport failure: when the peer dies
-// while calls are parked and coalescing, EVERY caller — the combiner, the
-// slots in its swapped batch, and slots parked after the swap — must
-// resolve with the poisoned transport status. Nobody may hang on a parked
-// slot (a hang here stalls the whole suite, which is the point of the
-// pin), and the endpoint must fail fast afterwards instead of blocking.
-TEST_F(RpcBatchTest, MidBatchTransportFailureFailsAllCoalescedCallers) {
-  Result<std::shared_ptr<RemoteEndpoint>> endpoint = Connect();
-  ASSERT_TRUE(endpoint.ok());
-  // Prove liveness before the kill.
-  Result<CoverReply> warm =
-      (*endpoint)->Cover(CoverRequest{1, 7, ScanQuery(10, 150)});
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+// Fault-injected pin for mid-batch transport failure: a peer that dies
+// after reading a kBatch request fails EVERY item of the batch with the
+// transport status, poisons the connection (later batch calls fail fast,
+// item by item, without touching the wire), and is never retried — not
+// on the dead link, and not by reconnecting: replaying Open would re-key
+// a session's noise stream.
+TEST_F(RpcBatchTest, MidBatchTransportFailureFailsEveryItem) {
+  Result<TcpListener> listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const EndpointInfo info = InProcessEndpoint(provider_.get()).info();
+  RpcMethod seen = RpcMethod::kError;
+  // A fake provider: handshakes, reads one request, then drops the link
+  // before replying.
+  std::thread peer([&] {
+    Result<TcpConnection> conn = listener->Accept();
+    if (!conn.ok()) return;
+    if (!conn->ReceiveFrame().ok()) return;  // kInfo
+    ByteWriter payload;
+    EncodeEndpointInfo(info, &payload);
+    if (!conn->SendFrame(RpcMethod::kInfo, payload).ok()) return;
+    Result<RpcFrame> request = conn->ReceiveFrame();
+    if (request.ok()) seen = request->method;
+    conn->Close();
+  });
+  Result<std::shared_ptr<RemoteEndpoint>> endpoint =
+      RemoteEndpoint::Connect("127.0.0.1", listener->port());
+  ASSERT_TRUE(endpoint.ok()) << endpoint.status().ToString();
 
-  constexpr size_t kThreads = 12;
-  constexpr int kCallsPerThread = 200;
-  std::atomic<uint64_t> resolved{0};
-  std::atomic<uint64_t> succeeded{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int j = 0; j < kCallsPerThread; ++j) {
-        // Sessionful calls ride the doorbell with no auto-retry: a
-        // transport error must surface directly.
-        const uint64_t id = 100 + t * kCallsPerThread + j;
-        Result<CoverReply> reply =
-            (*endpoint)->Cover(CoverRequest{id, id * 31 + 1, ScanQuery(5, 180)});
-        if (reply.ok()) succeeded.fetch_add(1);
-        resolved.fetch_add(1);
-      }
-    });
+  std::vector<Result<OpenReply>> opened =
+      (*endpoint)->OpenBatch(OpenRequests(8));
+  peer.join();
+  EXPECT_EQ(seen, RpcMethod::kBatch);
+  ASSERT_EQ(opened.size(), 8u);
+  for (const Result<OpenReply>& reply : opened) {
+    ASSERT_FALSE(reply.ok());
+    EXPECT_NE(reply.status().code(), StatusCode::kFailedPrecondition)
+        << "the exchange that broke reports the transport error itself";
   }
-  // Kill the server while the batch machinery is saturated: in-flight
-  // exchanges die mid-read, parked slots inherit the poison.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  servers_.clear();
-  for (std::thread& t : threads) t.join();
 
-  // Every single call resolved — none hung on an unfilled slot.
-  EXPECT_EQ(resolved.load(), kThreads * kCallsPerThread);
-  // The kill landed mid-run: some calls made it, the rest were failed.
-  EXPECT_LT(succeeded.load(), kThreads * kCallsPerThread);
-
-  // Fail-fast post-mortem: new calls on the poisoned connection resolve
-  // immediately with an error (no blocking on a dead wire).
-  Result<SummaryReply> post =
-      (*endpoint)->PublishSummary(SummaryRequest{});
-  EXPECT_FALSE(post.ok());
-  Result<CoverReply> post_cover =
-      (*endpoint)->Cover(CoverRequest{999999, 3, ScanQuery(0, 10)});
-  EXPECT_FALSE(post_cover.ok());
+  // Poisoned: every later item fails fast with FailedPrecondition.
+  std::vector<Result<OpenReply>> again =
+      (*endpoint)->OpenBatch(OpenRequests(3));
+  std::vector<Result<EstimateReply>> estimates = (*endpoint)->EstimateBatch(
+      {EndQueryRequest{1}, EndQueryRequest{2}});
+  for (const Result<OpenReply>& reply : again) {
+    EXPECT_EQ(reply.status().code(), StatusCode::kFailedPrecondition);
+  }
+  for (const Result<EstimateReply>& reply : estimates) {
+    EXPECT_EQ(reply.status().code(), StatusCode::kFailedPrecondition);
+  }
+  // No reconnect was attempted: nothing else ever dialed the peer.
+  listener->SetNonBlocking();
+  EXPECT_FALSE(listener->TryAccept().ok());
 }
 
 // DecodeBatchPayload unit coverage: request-side restrictions.

@@ -4,7 +4,10 @@
 // bytes must equal SimNetwork's charges, stateless retries must be
 // invisible, and errors must travel as Status, never as crashes.
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <string>
@@ -12,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/in_process_endpoint.h"
 #include "federation/orchestrator.h"
 #include "rpc/remote_endpoint.h"
 #include "rpc/server.h"
@@ -247,6 +251,197 @@ TEST_F(RpcLoopbackTest, RealWireBytesEqualSimNetworkCharges) {
   // protocol.
   EXPECT_EQ(overhead, 0u);
   EXPECT_EQ(moved - base, charged + overhead);
+}
+
+/// `n` private specs of varied 1-dim COUNT ranges.
+std::vector<QuerySpec> VariedSpecs(size_t n) {
+  std::vector<QuerySpec> specs;
+  specs.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t lo = static_cast<uint32_t>(i % 90);
+    const uint32_t hi = lo + static_cast<uint32_t>(i % 100);
+    specs.push_back(testutil::Spec(
+        testutil::kAnalyst,
+        RangeQueryBuilder(Aggregation::kCount).Where(0, lo, hi).Build()));
+  }
+  return specs;
+}
+
+/// `specs` as one admission round of a fresh client over `endpoints`.
+std::vector<BatchOutcome> OneRound(
+    std::vector<std::shared_ptr<ProviderEndpoint>> endpoints,
+    const FederationConfig& config, std::vector<QuerySpec> specs) {
+  FederationClient::Options opts;
+  opts.protocol = config;
+  opts.analysts = {{testutil::kAnalyst, 1e18, 1e9}};
+  opts.start_paused = true;
+  Result<std::unique_ptr<FederationClient>> client =
+      FederationClient::Create(std::move(endpoints), opts);
+  EXPECT_TRUE(client.ok()) << client.status().ToString();
+  if (!client.ok()) return {};
+  std::vector<QueryTicket> tickets = (*client)->SubmitAll(std::move(specs));
+  (*client)->Resume();
+  std::vector<BatchOutcome> outcomes = WaitAll(tickets);
+  (*client)->WaitIdle();
+  EXPECT_EQ((*client)->num_batches(), 1u) << "expected one admission round";
+  return outcomes;
+}
+
+void ExpectSameOutcomes(const std::vector<BatchOutcome>& a,
+                        const std::vector<BatchOutcome>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].status.code(), b[i].status.code()) << "query " << i;
+    EXPECT_EQ(a[i].response.estimate, b[i].response.estimate) << "query " << i;
+    EXPECT_EQ(a[i].response.stderr_estimate, b[i].response.stderr_estimate);
+    EXPECT_EQ(a[i].response.approximated, b[i].response.approximated);
+    EXPECT_EQ(a[i].response.allocation, b[i].response.allocation);
+    EXPECT_EQ(a[i].response.breakdown.network_bytes,
+              b[i].response.breakdown.network_bytes);
+    EXPECT_EQ(a[i].response.breakdown.network_messages,
+              b[i].response.breakdown.network_messages);
+  }
+}
+
+// The wire shape of provider-major rounds: one round of N private
+// queries costs each provider exactly two kBatch exchanges per group of
+// kQueriesPerProviderBatch — one of N kOpen sub-frames overall, one of N
+// estimate sub-frames — with answers, statuses and SimNetwork charges
+// bit-identical to the in-process barrier replay, and real bytes equal
+// to the charges plus the counted batch headers.
+TEST_F(RpcLoopbackTest, ProviderMajorRoundIsTwoBatchesPerGroupPerProvider) {
+  constexpr size_t K = kQueriesPerProviderBatch;
+  // Groups of K, K and K/2: every group has at least two queries, so each
+  // of its calls travels as a kBatch frame.
+  constexpr size_t N = 2 * K + K / 2;
+  constexpr size_t kGroups = (N + K - 1) / K;
+  FederationConfig config = BaseConfig();
+  config.scheduler = BatchScheduler::kPhaseBarrier;
+  std::vector<BatchOutcome> reference =
+      OneRound(*MakeInProcessEndpoints(Ptrs()), config, VariedSpecs(N));
+
+  Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
+      ConnectRemote();
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  std::vector<RemoteEndpoint*> raw;
+  uint64_t base = 0;
+  for (auto& e : *remote) {
+    raw.push_back(static_cast<RemoteEndpoint*>(e.get()));
+    base += raw.back()->bytes_sent() + raw.back()->bytes_received();
+  }
+  config.scheduler = BatchScheduler::kTaskGraph;
+  config.num_threads = 4;
+  // The client owns the endpoints only for the round; `remote` keeps them
+  // alive for the odometer reads below.
+  std::vector<BatchOutcome> outcomes = OneRound(*remote, config, VariedSpecs(N));
+  ExpectSameOutcomes(outcomes, reference);
+
+  uint64_t charged = 0;
+  for (const BatchOutcome& out : outcomes) {
+    ASSERT_TRUE(out.ok()) << out.status.ToString();
+    charged += out.response.breakdown.network_bytes;
+  }
+  uint64_t moved = 0;
+  uint64_t overhead = 0;
+  for (auto* e : raw) {
+    moved += e->bytes_sent() + e->bytes_received();
+    overhead += e->batch_overhead_bytes();
+  }
+  EXPECT_EQ(overhead, 2 * kGroups * raw.size() * 2 * kFrameHeaderBytes);
+  EXPECT_EQ(moved - base, charged + overhead);
+  for (const auto& server : servers_) {
+    EXPECT_EQ(server->frames_received(RpcMethod::kBatch), 2 * kGroups);
+    EXPECT_EQ(server->frames_received(RpcMethod::kOpen), N);
+    EXPECT_EQ(server->frames_received(RpcMethod::kApproximate) +
+                  server->frames_received(RpcMethod::kExactAnswer),
+              N);
+    EXPECT_EQ(server->frames_received(RpcMethod::kEndQuery), 0u);
+    EXPECT_EQ(server->num_open_sessions(), 0u);
+  }
+}
+
+/// Forwards batch calls to a RemoteEndpoint and records the most
+/// sessions its server held right after an OpenBatch: the server's peak,
+/// since only Open adds sessions and the scheduler runs one call per
+/// endpoint at a time.
+class PeakSessionsEndpoint final : public ProviderEndpoint {
+ public:
+  PeakSessionsEndpoint(std::shared_ptr<ProviderEndpoint> inner,
+                       const RpcProviderServer* server)
+      : inner_(std::move(inner)), server_(server) {}
+
+  const EndpointInfo& info() const override { return inner_->info(); }
+  Result<CoverReply> Cover(const CoverRequest& r) override {
+    return inner_->Cover(r);
+  }
+  Result<SummaryReply> PublishSummary(const SummaryRequest& r) override {
+    return inner_->PublishSummary(r);
+  }
+  std::vector<Result<OpenReply>> OpenBatch(
+      const std::vector<OpenRequest>& requests) override {
+    std::vector<Result<OpenReply>> replies = inner_->OpenBatch(requests);
+    peak_ = std::max(peak_.load(), server_->num_open_sessions());
+    return replies;
+  }
+  std::vector<Result<EstimateReply>> EstimateBatch(
+      const std::vector<EstimateItem>& items) override {
+    return inner_->EstimateBatch(items);
+  }
+  Result<EstimateReply> Approximate(const ApproximateRequest& r) override {
+    return inner_->Approximate(r);
+  }
+  Result<EstimateReply> ExactAnswer(const ExactAnswerRequest& r) override {
+    return inner_->ExactAnswer(r);
+  }
+  Result<ExactScanReply> ExactFullScan(const ExactScanRequest& r) override {
+    return inner_->ExactFullScan(r);
+  }
+  void EndQuery(uint64_t id) override { inner_->EndQuery(id); }
+  void IssueAsync(std::function<void()> call) override {
+    inner_->IssueAsync(std::move(call));
+  }
+
+  size_t peak() const { return peak_.load(); }
+
+ private:
+  std::shared_ptr<ProviderEndpoint> inner_;
+  const RpcProviderServer* server_;
+  std::atomic<size_t> peak_{0};
+};
+
+// A burst far above the servers' per-connection session cap (default
+// 1024) in ONE admission round: groups are opened at most two ahead of
+// their estimates, so no provider ever holds more than two groups'
+// sessions, nothing is refused, and the answers equal the in-process run.
+TEST_F(RpcLoopbackTest, BurstAboveTheSessionCapCompletesInOneRound) {
+  constexpr size_t kBurst = 2500;
+  ASSERT_GT(kBurst, RpcServerOptions().max_sessions_per_connection);
+  FederationConfig config = BaseConfig();
+  config.num_threads = 4;
+  std::vector<BatchOutcome> reference =
+      OneRound(*MakeInProcessEndpoints(Ptrs()), config, VariedSpecs(kBurst));
+
+  Result<std::vector<std::shared_ptr<ProviderEndpoint>>> remote =
+      ConnectRemote();
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  std::vector<std::shared_ptr<PeakSessionsEndpoint>> watched;
+  std::vector<std::shared_ptr<ProviderEndpoint>> endpoints;
+  for (size_t i = 0; i < remote->size(); ++i) {
+    watched.push_back(std::make_shared<PeakSessionsEndpoint>(
+        (*remote)[i], servers_[i].get()));
+    endpoints.push_back(watched.back());
+  }
+  std::vector<BatchOutcome> outcomes =
+      OneRound(std::move(endpoints), config, VariedSpecs(kBurst));
+  size_t failures = 0;
+  for (const BatchOutcome& out : outcomes) failures += out.ok() ? 0 : 1;
+  EXPECT_EQ(failures, 0u);
+  ExpectSameOutcomes(outcomes, reference);
+  for (size_t i = 0; i < servers_.size(); ++i) {
+    EXPECT_GT(watched[i]->peak(), 0u);
+    EXPECT_LE(watched[i]->peak(), 2 * kQueriesPerProviderBatch);
+    EXPECT_EQ(servers_[i]->num_open_sessions(), 0u);
+  }
 }
 
 TEST_F(RpcLoopbackTest, ExactFullScanIsIdempotentAndDrawsNoProviderRng) {

@@ -989,16 +989,16 @@ int Run() {
       std::printf("scheduler: %llu graphs run; parked high-water %.0f\n",
                   counter("scheduler.graphs_run"),
                   reg.GetGauge("scheduler.parked_peak")->Value());
-      const unsigned long long doorbells = counter("rpc.doorbell_batches");
-      if (doorbells > 0 || !state.remote_endpoints.empty()) {
+      const unsigned long long batches = counter("rpc.doorbell_batches");
+      if (batches > 0 || !state.remote_endpoints.empty()) {
         std::printf(
-            "transport: %llu doorbell batches (%.2f frames/doorbell); "
+            "transport: %llu batch exchanges (%.2f calls/batch); "
             "%llu bytes sent, %llu received\n",
-            doorbells,
-            doorbells > 0 ? static_cast<double>(
-                                counter("rpc.coalesced_calls")) /
-                                static_cast<double>(doorbells)
-                          : 0.0,
+            batches,
+            batches > 0 ? static_cast<double>(
+                              counter("rpc.coalesced_calls")) /
+                              static_cast<double>(batches)
+                        : 0.0,
             counter("rpc.client.bytes_sent"),
             counter("rpc.client.bytes_received"));
       }
